@@ -14,12 +14,7 @@ store), and renders the stored records into one table of the paper.
   setting; expect tens of minutes on a laptop CPU.
 
 ``REPRO_BENCH_WORKERS`` caps the process count (default: up to 4);
-``REPRO_BENCH_WORKERS=1`` forces serial execution.  ``REPRO_INTRA_WORKERS``
-additionally budgets the worker pools *inside* each task (GraphSAINT
-normalisation, sharded SAT verification; see ``repro.parallel``) — the
-campaign executor divides it across task workers, and the default of 1
-keeps every task on the legacy serial stream the goldens are pinned to.
-Generated datasets and
+``REPRO_BENCH_WORKERS=1`` forces serial execution.  Generated datasets and
 trained models are cached under ``benchmarks/results/cache`` so re-running a
 table (or a table that shares datasets with another) skips the heavy work.
 ``REPRO_BENCH_RESUME=1`` additionally skips whole tasks whose fingerprint

@@ -5,17 +5,14 @@ TTLock, SFLL-HD), plus every substrate it depends on: a gate-level netlist
 library, locking transforms, a synthesis flow, a from-scratch GraphSAGE /
 GraphSAINT implementation, a SAT-based equivalence checker, and the baseline
 attacks the paper compares against.  ``repro.runner`` orchestrates whole
-attack campaigns (parallel execution, artifact caching, ``python -m repro``)
-and ``repro.parallel`` provides the intra-task worker pools (GraphSAINT
-normalisation walks, sharded SAT equivalence) budgeted by
-``REPRO_INTRA_WORKERS``.
+attack campaigns (parallel execution, artifact caching, ``python -m repro``).
 """
 
 __version__ = "1.1.0"
 
 from . import netlist  # noqa: F401
 
-__all__ = ["netlist", "parallel", "runner", "service", "__version__"]
+__all__ = ["netlist", "runner", "service", "__version__"]
 
 
 def __getattr__(name):
@@ -25,10 +22,6 @@ def __getattr__(name):
         from . import runner
 
         return runner
-    if name == "parallel":
-        from . import parallel
-
-        return parallel
     if name == "service":
         from . import service
 

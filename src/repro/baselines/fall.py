@@ -27,7 +27,6 @@ import numpy as np
 
 from ..locking.base import LockingResult
 from ..netlist.circuit import CircuitError
-from ..parallel import WorkerPool
 from ..sat.equivalence import check_equivalence
 from .analysis import enumerate_activating_patterns, trace_sfll_structure
 from .base import BaselineResult
@@ -41,7 +40,6 @@ def fall_attack(
     h: Optional[int] = None,
     max_patterns: int = 64,
     verify: bool = True,
-    pool: Optional[WorkerPool] = None,
 ) -> BaselineResult:
     """Run the FALL attack on a TTLock / SFLL-HD locked netlist.
 
@@ -108,8 +106,7 @@ def fall_attack(
     if verify:
         try:
             success = check_equivalence(
-                result.locked, result.original, key_assignment=recovered_key,
-                pool=pool,
+                result.locked, result.original, key_assignment=recovered_key
             ).equivalent
             reason = "" if success else "recovered key does not unlock the design"
         except Exception as exc:  # noqa: BLE001

@@ -11,12 +11,11 @@ functional oracle, which the oracle-guided threat model permits.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
 from ..locking.base import LockingResult
-from ..parallel import WorkerPool
 from ..netlist.circuit import Circuit
 from ..netlist.simulate import simulate
 from ..sat.cnf import CNF
@@ -34,7 +33,6 @@ def sat_attack(
     max_iterations: int = 64,
     max_conflicts_per_call: int = 400_000,
     verify: bool = True,
-    pool: Optional[WorkerPool] = None,
 ) -> BaselineResult:
     """Run the oracle-guided SAT attack on a locked circuit."""
     locked = result.locked
@@ -139,7 +137,7 @@ def sat_attack(
     if verify:
         try:
             success = check_equivalence(
-                locked, oracle, key_assignment=recovered_key, pool=pool
+                locked, oracle, key_assignment=recovered_key
             ).equivalent
             reason = "" if success else "recovered key does not unlock the design"
         except Exception as exc:  # noqa: BLE001

@@ -23,7 +23,6 @@ import numpy as np
 
 from ..locking.base import LockingResult
 from ..netlist.circuit import CircuitError
-from ..parallel import WorkerPool
 from ..sat.equivalence import check_equivalence
 from .analysis import enumerate_activating_patterns, trace_sfll_structure
 from .base import BaselineResult
@@ -37,7 +36,6 @@ def sfll_hd_unlocked_attack(
     h: Optional[int] = None,
     max_patterns: int = 96,
     verify: bool = True,
-    pool: Optional[WorkerPool] = None,
 ) -> BaselineResult:
     """Run the SFLL-HD-Unlocked attack on a locked netlist."""
     scheme = result.scheme
@@ -120,8 +118,7 @@ def sfll_hd_unlocked_attack(
     if verify:
         try:
             success = check_equivalence(
-                result.locked, result.original, key_assignment=recovered_key,
-                pool=pool,
+                result.locked, result.original, key_assignment=recovered_key
             ).equivalent
             reason = "" if success else "recovered key does not unlock the design"
         except Exception as exc:  # noqa: BLE001

@@ -18,7 +18,6 @@ from __future__ import annotations
 from typing import Optional, Set, Tuple
 
 from ..locking.base import LockingResult
-from ..parallel import WorkerPool
 from ..netlist.circuit import Circuit
 from ..netlist.signal_probability import (
     estimate_probabilities_independent,
@@ -56,7 +55,6 @@ def sps_attack(
     *,
     ads_threshold: float = 0.9,
     verify: bool = True,
-    pool: Optional[WorkerPool] = None,
 ) -> BaselineResult:
     """Run the SPS attack on a locked circuit.
 
@@ -111,7 +109,7 @@ def sps_attack(
     if verify:
         try:
             success = check_equivalence(
-                recovered, result.original, method="auto", pool=pool
+                recovered, result.original, method="auto"
             ).equivalent
             reason = "" if success else "recovered design not equivalent"
         except Exception as exc:  # noqa: BLE001

@@ -23,7 +23,6 @@ import numpy as np
 from ..gnn.model import GnnConfig, GraphSageClassifier
 from ..gnn.trainer import TrainingHistory, train_node_classifier
 from ..netlist.circuit import Circuit
-from ..parallel import WorkerPool, resolve_pool
 from ..sat.equivalence import check_equivalence
 from .config import AttackConfig
 from .dataset import LockedInstance, NodeDataset
@@ -115,26 +114,21 @@ def train_attack_model(
     *,
     config: Optional[AttackConfig] = None,
     validation_benchmark: Optional[str] = None,
-    pool: Optional[WorkerPool] = None,
 ):
     """Steps 1-2 of the attack: split the dataset and train the classifier.
 
     Returns ``(model, history, split)``.  Separated from :func:`attack_design`
     so campaign runners can cache the trained model and re-enter the attack
-    at the prediction stage.  ``pool`` parallelises the GraphSAINT
-    normalisation phase and enables batch prefetching; ``None`` consults the
-    global ``REPRO_INTRA_WORKERS`` budget (no pool in budget = the legacy
-    serial path, bit-identical to previous releases).
+    at the prediction stage.
     """
     config = config if config is not None else AttackConfig()
-    pool = resolve_pool(pool)
     split = leave_one_design_out(
         dataset, target_benchmark, validation_benchmark=validation_benchmark
     )
     graph_data = dataset.to_graph_data(split.train, split.val, split.test)
     gnn_config = _resolve_gnn_config(dataset, config)
     model, history = train_node_classifier(
-        graph_data, gnn_config, rng=np.random.default_rng(gnn_config.seed), pool=pool
+        graph_data, gnn_config, rng=np.random.default_rng(gnn_config.seed)
     )
     return model, history, split
 
@@ -149,7 +143,6 @@ def attack_design(
     apply_postprocessing: bool = True,
     model: Optional[GraphSageClassifier] = None,
     history: Optional[TrainingHistory] = None,
-    pool: Optional[WorkerPool] = None,
 ) -> AttackOutcome:
     """Task-level entry point: attack one benchmark of a dataset.
 
@@ -157,13 +150,10 @@ def attack_design(
     pre-trained ``model`` (with its ``history``) skips training and re-enters
     the attack at the prediction stage — the split is recomputed
     deterministically, so a cached model produces an outcome identical to the
-    run that trained it.  ``pool`` (or the ambient ``REPRO_INTRA_WORKERS``
-    budget) parallelises training's normalisation phase and shards the
-    removal-verification equivalence checks per primary output.
+    run that trained it.
     """
     start = time.perf_counter()
     config = config if config is not None else AttackConfig()
-    pool = resolve_pool(pool)
     class_names = _class_names_of(dataset)
     if model is None:
         model, history, split = train_attack_model(
@@ -171,7 +161,6 @@ def attack_design(
             target_benchmark,
             config=config,
             validation_benchmark=validation_benchmark,
-            pool=pool,
         )
     else:
         if history is None:
@@ -196,7 +185,6 @@ def attack_design(
             predictions,
             verify_removal=verify_removal,
             apply_postprocessing=apply_postprocessing,
-            pool=pool,
         )
         instance_outcomes.append(outcome)
         nodes = dataset.nodes_of_instance(idx)
@@ -252,7 +240,6 @@ class GnnUnlockAttack:
         validation_benchmark: Optional[str] = None,
         verify_removal: bool = True,
         apply_postprocessing: bool = True,
-        pool: Optional[WorkerPool] = None,
     ) -> AttackOutcome:
         """Attack one benchmark with leave-one-design-out training."""
         return attack_design(
@@ -262,7 +249,6 @@ class GnnUnlockAttack:
             validation_benchmark=validation_benchmark,
             verify_removal=verify_removal,
             apply_postprocessing=apply_postprocessing,
-            pool=pool,
         )
 
     def attack_all(self, **kwargs) -> Dict[str, AttackOutcome]:
@@ -281,7 +267,6 @@ def _attack_instance(
     *,
     verify_removal: bool,
     apply_postprocessing: bool,
-    pool: Optional[WorkerPool] = None,
 ) -> InstanceOutcome:
     instance = dataset.instances[instance_idx]
     nodes = dataset.nodes_of_instance(instance_idx)
@@ -296,7 +281,9 @@ def _attack_instance(
         zip(graph.nodes, classes_to_labels(predicted_classes, dataset.class_map))
     )
     if apply_postprocessing:
-        final_labels = postprocess_predictions(circuit, predicted_labels)
+        final_labels = postprocess_predictions(
+            circuit, predicted_labels, dataset.class_map
+        )
     else:
         final_labels = dict(predicted_labels)
     final_classes = np.array(
@@ -311,7 +298,7 @@ def _attack_instance(
         try:
             recovered = remove_protection_logic(circuit, final_labels)
             equivalence = check_equivalence(
-                recovered, instance.result.original, method="auto", pool=pool
+                recovered, instance.result.original, method="auto"
             )
             removal_success = bool(equivalence.equivalent)
         except Exception as exc:  # noqa: BLE001 - an attack failure is a result

@@ -9,12 +9,12 @@ returns the configuration matching Table II of the paper.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 from dataclasses import dataclass, field, replace
 from typing import Dict, Mapping, Sequence, Tuple
 
 from ..benchgen.profiles import DEFAULT_SIZE_SCALE
 from ..gnn.model import GnnConfig
-from ..parallel import derive_job_seed
 
 __all__ = ["AttackConfig"]
 
@@ -87,11 +87,12 @@ class AttackConfig:
         Every randomised stage (locking one instance, training one model)
         seeds its generator from the *identity* of the work item rather than
         from execution order, so serial and parallel campaign runs produce
-        bit-identical artifacts.  Shares its digest with
-        :func:`repro.parallel.derive_job_seed`, the per-job variant used by
-        intra-task worker pools.
+        bit-identical artifacts.
         """
-        return derive_job_seed(self.seed, *parts)
+        digest = hashlib.sha256(
+            ("|".join(map(str, parts)) + f"|{self.seed}").encode()
+        )
+        return int.from_bytes(digest.digest()[:8], "big")
 
     def scaled_down(self) -> "AttackConfig":
         """A configuration small enough for unit tests (seconds per attack)."""

@@ -51,16 +51,20 @@ _XOR_CELLS = ("XOR", "XNOR", "XOR2", "XNOR2", "XOR3", "XNOR3")
 
 
 def postprocess_predictions(
-    circuit: Circuit, predictions: Mapping[str, str]
+    circuit: Circuit, predictions: Mapping[str, str], class_map: Mapping[str, int]
 ) -> Dict[str, str]:
-    """Dispatch to the right rectification algorithm based on the label set."""
-    labels = set(predictions.values())
-    if ANTISAT in labels or labels <= {DESIGN, ANTISAT}:
+    """Rectify predictions with the algorithm of the locking family.
+
+    ``class_map`` is the family's label-to-class map; the rectifier is
+    chosen from the classes the family defines, never from the predicted
+    labels, so an all-design prediction can only come back with labels of
+    its own family.  Families with no rectifier (SARLock, cyclic, XOR key
+    gates) get the raw predictions back unchanged.
+    """
+    if ANTISAT in class_map:
         return postprocess_antisat(circuit, predictions)
-    if labels & {PERTURB, RESTORE}:
+    if PERTURB in class_map or RESTORE in class_map:
         return postprocess_sfll(circuit, predictions)
-    # A label family with no registered rectifier (SARLock, cyclic, XOR key
-    # gates): leave the raw GNN predictions untouched.
     return dict(predictions)
 
 

@@ -68,7 +68,6 @@ class FleetCoordinator:
         queue: JobQueue,
         *,
         lease_ttl_s: float = DEFAULT_LEASE_TTL_S,
-        intra_workers: int = 1,
         max_active_jobs: int = 1,
         cache_dir=None,
         use_cache: bool = True,
@@ -86,12 +85,6 @@ class FleetCoordinator:
         self.on_job_finished = on_job_finished
         self.metrics = metrics if metrics is not None else queue.metrics
         self.lease_ttl_s = max(0.1, float(lease_ttl_s))
-        #: Intra-task worker share handed verbatim to every lease (the
-        #: drainers are separate processes on possibly separate hosts, so
-        #: there is no machine-wide budget to divide here).  The default of
-        #: 1 keeps task fingerprints on the unpooled variant, preserving
-        #: byte-identity with serial runs.
-        self.intra_workers = max(1, int(intra_workers))
         self.max_active_jobs = max(1, int(max_active_jobs))
         self.cache_dir = cache_dir if cache_dir is not None else default_cache_dir()
         self.use_cache = use_cache
@@ -176,8 +169,7 @@ class FleetCoordinator:
             self.queue.finish(job, "failed", error="campaign expanded to zero tasks")
             return
         self.queue.set_total(job, len(tasks))
-        pooled = self.intra_workers > 1
-        fingerprints = [task.fingerprint(pooled=pooled) for task in tasks]
+        fingerprints = [task.fingerprint() for task in tasks]
         store = ResultStore(job.store_path)
         fleet_job = _FleetJob(
             job=job, tasks=tasks, fingerprints=fingerprints, store=store
@@ -294,7 +286,6 @@ class FleetCoordinator:
             payload = lease.to_json_dict()
             payload.update(
                 ttl_s=ttl,
-                intra_workers=self.intra_workers,
                 job_submitted_at=fleet_job.job.submitted_at,
             )
             payloads.append(payload)
@@ -362,13 +353,11 @@ class FleetCoordinator:
         return {
             "job_id": job.job_id,
             "spec": job.spec.to_json_dict(),
-            "intra_workers": self.intra_workers,
         }
 
     # ------------------------------------------------------------------
     # Result recording (in-order flush + finalize)
     def _record(self, fleet_job: _FleetJob, index: int, result: TaskResult) -> None:
-        pooled = self.intra_workers > 1
         with self._lock:
             if fleet_job.finished or index in fleet_job.results:
                 return
@@ -384,7 +373,6 @@ class FleetCoordinator:
                         fleet_job.store,
                         fleet_job.tasks[fleet_job.next_flush],
                         flushing,
-                        pooled=pooled,
                     )
                 fleet_job.next_flush += 1
             done = len(fleet_job.results)

@@ -185,7 +185,6 @@ class FleetWorker:
             result = execute_task(
                 task,
                 cache_dir=self.cache_dir,
-                intra_workers=int(lease.get("intra_workers") or 1),
                 submitted_at=lease.get("job_submitted_at"),
                 cache=self._cache_for_task(),
             )

@@ -16,26 +16,17 @@ Walks step through the CSR adjacency in batch: one vectorised
 while consuming the *identical* PCG64 stream (numpy draws array-bounded
 integers element by element from the same bit generator), so results are
 bit-for-bit what the loop produced.
-
-Parallelism: the pre-sampling normalisation walks are independent, so when a
-:class:`~repro.parallel.WorkerPool` is supplied they run as identity-seeded
-jobs on the pool.  Per-job seeds derive from the walk index
-(:func:`repro.parallel.derive_job_seed`), never from execution order, so the
-estimate is bit-identical for every backend and worker count — but it is a
-*different* (deliberately parallelisable) stream than the legacy sequential
-one, which remains the default whenever no pool is given.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
 
 from ..obs import span
-from ..parallel import WorkerPool, derive_job_seed
 from .data import GraphData
 
 __all__ = ["RandomWalkSampler", "SampledSubgraph", "batched_random_walk"]
@@ -70,25 +61,6 @@ def batched_random_walk(
     return np.unique(np.concatenate(visited))
 
 
-def _normalisation_chunk(args: Tuple) -> Tuple[np.ndarray, np.ndarray]:
-    """Pool job: inclusion counts of normalisation walks ``start .. stop``.
-
-    Each walk seeds its own generator from its index, so the counts are
-    independent of how walks are chunked and of which worker runs them.
-    Returns ``(nodes, counts)`` sparsely to keep inter-process traffic small.
-    """
-    indptr, indices, train_nodes, n_roots, walk_length, base_seed, start, stop = args
-    visited: List[np.ndarray] = []
-    for walk_idx in range(start, stop):
-        rng = np.random.default_rng(derive_job_seed(base_seed, "norm-walk", walk_idx))
-        roots = rng.choice(train_nodes, size=n_roots, replace=True)
-        visited.append(batched_random_walk(indptr, indices, roots, walk_length, rng))
-    if not visited:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    return np.unique(np.concatenate(visited), return_counts=True)
-
-
 @dataclass
 class SampledSubgraph:
     """One GraphSAINT mini-batch: an induced subgraph plus loss weights."""
@@ -99,13 +71,7 @@ class SampledSubgraph:
 
 
 class RandomWalkSampler:
-    """Random-walk subgraph sampler over the training portion of a graph.
-
-    ``pool=None`` (the default) keeps the legacy fully sequential RNG stream;
-    passing a :class:`~repro.parallel.WorkerPool` switches the normalisation
-    pre-sampling phase to identity-seeded pool jobs (see the module
-    docstring for the determinism trade-off).
-    """
+    """Random-walk subgraph sampler over the training portion of a graph."""
 
     def __init__(
         self,
@@ -115,7 +81,6 @@ class RandomWalkSampler:
         walk_length: int = 2,
         n_norm_samples: int = 20,
         rng: Optional[np.random.Generator] = None,
-        pool: Optional[WorkerPool] = None,
     ):
         if n_roots < 1:
             raise ValueError("n_roots must be positive")
@@ -125,17 +90,13 @@ class RandomWalkSampler:
         self.n_roots = n_roots
         self.walk_length = walk_length
         self.rng = rng if rng is not None else np.random.default_rng()
-        self.pool = pool
         self.adjacency = sp.csr_matrix(graph.adjacency)
         self.train_nodes = np.flatnonzero(graph.train_mask)
         if self.train_nodes.size == 0:
             raise ValueError("graph has no training nodes to sample from")
         self._inclusion_counts = np.zeros(graph.n_nodes)
         self._norm_samples = 0
-        if pool is None:
-            self._estimate_normalisation(n_norm_samples)
-        else:
-            self._estimate_normalisation_pooled(n_norm_samples, pool)
+        self._estimate_normalisation(n_norm_samples)
 
     # ------------------------------------------------------------------
     def _walk_nodes(self) -> np.ndarray:
@@ -157,49 +118,9 @@ class RandomWalkSampler:
                 self._inclusion_counts[nodes] += 1
                 self._norm_samples += 1
 
-    def _estimate_normalisation_pooled(self, n_samples: int, pool: WorkerPool) -> None:
-        """Estimate inclusion probabilities with independent pool jobs.
-
-        One draw from ``self.rng`` anchors the whole phase; each walk then
-        derives its own seed from the walk index, so the resulting counts do
-        not depend on the chunking, the backend, or the worker count.
-        """
-        if n_samples <= 0:
-            return
-        with span(
-            "sampling", phase="normalisation", n_samples=n_samples, pooled=True
-        ):
-            base_seed = int(self.rng.integers(0, 2**63))
-            n_roots = min(self.n_roots, self.train_nodes.size)
-            n_chunks = min(n_samples, max(1, pool.max_workers))
-            bounds = np.linspace(0, n_samples, n_chunks + 1).astype(int)
-            jobs = [
-                (
-                    self.adjacency.indptr,
-                    self.adjacency.indices,
-                    self.train_nodes,
-                    n_roots,
-                    self.walk_length,
-                    base_seed,
-                    int(start),
-                    int(stop),
-                )
-                for start, stop in zip(bounds[:-1], bounds[1:])
-                if stop > start
-            ]
-            for nodes, counts in pool.map(_normalisation_chunk, jobs):
-                self._inclusion_counts[nodes] += counts
-            self._norm_samples += n_samples
-
     # ------------------------------------------------------------------
     def sample(self) -> SampledSubgraph:
-        """Draw one mini-batch subgraph.
-
-        Mini-batches always come from the sampler's own sequential generator
-        (never the pool), so the training stream is identical whether or not
-        normalisation was pooled — and identical under batch prefetching,
-        which preserves generation order.
-        """
+        """Draw one mini-batch subgraph."""
         with span("sampling", phase="batch") as handle:
             nodes = self._walk_nodes()
             self._inclusion_counts[nodes] += 1

@@ -5,24 +5,12 @@ Training follows the paper's protocol: GraphSAINT random-walk mini-batches
 model selection on the validation split — "the model with the best
 performance on the validation set is used to evaluate the test set accuracy".
 
-Pipelining: subgraph construction (CSR slicing + row normalisation) and the
-numpy training step are independent stages, so with ``prefetch > 0`` a
-producer thread samples mini-batches ahead into a bounded queue and
-``_train_step`` consumes them.  Batches are generated and consumed strictly
-in order from the sampler's own generator, so prefetching is bit-identical
-to inline sampling; :class:`TrainingHistory` records how long the consumer
-actually blocked waiting for batches (``sample_wait_s``), which is the
-number to watch when tuning the prefetch depth.
-
-The sampler's normalisation phase additionally parallelises over a
-:class:`~repro.parallel.WorkerPool` when one is passed (see
-:mod:`repro.gnn.sampler` for the determinism contract).
+:class:`TrainingHistory` records how long the training step spent building
+mini-batches (``sample_wait_s``).
 """
 
 from __future__ import annotations
 
-import queue
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import List, Optional
@@ -31,7 +19,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..obs import span
-from ..parallel import WorkerPool
 from .data import GraphData
 from .model import GnnConfig, GraphSageClassifier, cross_entropy_loss
 from .optim import Adam
@@ -50,74 +37,12 @@ class TrainingHistory:
     best_epoch: int = -1
     epochs_run: int = 0
     train_time_s: float = 0.0
-    #: Total seconds the training step spent blocked on mini-batch
-    #: construction (inline sampling time, or queue wait when prefetching).
+    #: Total seconds the training step spent on mini-batch construction.
     sample_wait_s: float = 0.0
 
 
-class _BatchPrefetcher:
-    """Producer thread filling a bounded queue with sampled mini-batches.
-
-    The producer calls ``sampler.sample()`` — and therefore advances the
-    sampler's RNG — in exactly the order the consumer receives batches, so
-    training results match inline sampling bit for bit.  Producer exceptions
-    are re-raised on the consuming side.
-    """
-
-    _STOP = object()
-
-    def __init__(self, sampler: RandomWalkSampler, depth: int):
-        self._sampler = sampler
-        self._queue: "queue.Queue" = queue.Queue(maxsize=max(1, depth))
-        self._stopping = threading.Event()
-        self._error: Optional[BaseException] = None
-        self._thread = threading.Thread(
-            target=self._produce, name="repro-batch-prefetch", daemon=True
-        )
-        self._thread.start()
-
-    def _produce(self) -> None:
-        try:
-            while not self._stopping.is_set():
-                batch = self._sampler.sample()
-                while not self._stopping.is_set():
-                    try:
-                        self._queue.put(batch, timeout=0.1)
-                        break
-                    except queue.Full:
-                        continue
-        except BaseException as exc:  # noqa: BLE001 - re-raised by get()
-            self._error = exc
-            self._queue.put(self._STOP)
-
-    def get(self) -> SampledSubgraph:
-        item = self._queue.get()
-        if item is self._STOP:
-            assert self._error is not None
-            raise self._error
-        return item
-
-    def close(self) -> None:
-        self._stopping.set()
-        # Unblock a producer waiting on a full queue, then reap the thread.
-        # The join is unbounded on purpose: the producer can be at most one
-        # sample away from observing the stop flag, and returning while it
-        # still runs would leave two threads sharing one numpy Generator.
-        while True:
-            try:
-                self._queue.get_nowait()
-            except queue.Empty:
-                break
-        self._thread.join()
-
-
 class Trainer:
-    """Trains a :class:`GraphSageClassifier` on a :class:`GraphData` dataset.
-
-    ``pool`` forwards to the sampler's normalisation phase; ``prefetch`` sets
-    the mini-batch queue depth (``None`` enables a depth of 2 whenever a pool
-    is supplied, 0 disables prefetching).
-    """
+    """Trains a :class:`GraphSageClassifier` on a :class:`GraphData` dataset."""
 
     def __init__(
         self,
@@ -126,15 +51,11 @@ class Trainer:
         *,
         config: Optional[GnnConfig] = None,
         rng: Optional[np.random.Generator] = None,
-        pool: Optional[WorkerPool] = None,
-        prefetch: Optional[int] = None,
     ):
         self.model = model
         self.graph = graph
         self.config = config if config is not None else model.config
         self.rng = rng if rng is not None else np.random.default_rng(self.config.seed)
-        self.pool = pool
-        self.prefetch = (2 if pool is not None else 0) if prefetch is None else max(0, prefetch)
         self.optimizer = Adam(
             model.parameters,
             learning_rate=self.config.learning_rate,
@@ -144,14 +65,12 @@ class Trainer:
         self._full_adj_norm = graph.normalized_adjacency()
         self._class_weights = self._compute_class_weights()
         self._sampler: Optional[RandomWalkSampler] = None
-        self._prefetcher: Optional[_BatchPrefetcher] = None
         if self.config.sampler == "random_walk" and graph.train_mask.sum() > 0:
             self._sampler = RandomWalkSampler(
                 graph,
                 n_roots=self.config.root_nodes,
                 walk_length=self.config.walk_length,
                 rng=self.rng,
-                pool=pool,
             )
 
     # ------------------------------------------------------------------
@@ -168,10 +87,7 @@ class Trainer:
     # ------------------------------------------------------------------
     def _next_batch(self) -> SampledSubgraph:
         waited = time.perf_counter()
-        if self._prefetcher is not None:
-            batch = self._prefetcher.get()
-        else:
-            batch = self._sampler.sample()
+        batch = self._sampler.sample()
         self.history.sample_wait_s += time.perf_counter() - waited
         return batch
 
@@ -214,50 +130,42 @@ class Trainer:
         best_val = -1.0
         epochs_without_improvement = 0
         start = time.perf_counter()
-        if self._sampler is not None and self.prefetch > 0:
-            self._prefetcher = _BatchPrefetcher(self._sampler, self.prefetch)
+        with span("train", epochs=config.epochs) as train_handle:
+            for epoch in range(config.epochs):
+                wait_before = self.history.sample_wait_s
+                with span("train_epoch", epoch=epoch + 1) as epoch_handle:
+                    loss = self._train_step()
+                    # Absorb the existing sample_wait_s accounting: each
+                    # epoch span carries its own share of the wait.
+                    epoch_handle.tag(
+                        loss=float(loss),
+                        sample_wait_s=round(
+                            self.history.sample_wait_s - wait_before, 6
+                        ),
+                    )
+                self.history.loss.append(loss)
+                self.history.epochs_run = epoch + 1
 
-        try:
-            with span("train", epochs=config.epochs) as train_handle:
-                for epoch in range(config.epochs):
-                    wait_before = self.history.sample_wait_s
-                    with span("train_epoch", epoch=epoch + 1) as epoch_handle:
-                        loss = self._train_step()
-                        # Absorb the existing sample_wait_s accounting: each
-                        # epoch span carries its own share of the wait.
-                        epoch_handle.tag(
-                            loss=float(loss),
-                            sample_wait_s=round(
-                                self.history.sample_wait_s - wait_before, 6
-                            ),
-                        )
-                    self.history.loss.append(loss)
-                    self.history.epochs_run = epoch + 1
-
-                    if (
-                        (epoch + 1) % config.eval_every == 0
-                        or epoch == config.epochs - 1
-                    ):
-                        val_acc = self.evaluate(self.graph.val_mask)
-                        self.history.val_accuracy.append(val_acc)
-                        if val_acc > best_val:
-                            best_val = val_acc
-                            best_weights = self.model.get_weights()
-                            self.history.best_val_accuracy = val_acc
-                            self.history.best_epoch = epoch + 1
-                            epochs_without_improvement = 0
-                        else:
-                            epochs_without_improvement += config.eval_every
-                        if epochs_without_improvement >= config.patience:
-                            break
-                train_handle.tag(
-                    epochs_run=self.history.epochs_run,
-                    sample_wait_s=round(self.history.sample_wait_s, 6),
-                )
-        finally:
-            if self._prefetcher is not None:
-                self._prefetcher.close()
-                self._prefetcher = None
+                if (
+                    (epoch + 1) % config.eval_every == 0
+                    or epoch == config.epochs - 1
+                ):
+                    val_acc = self.evaluate(self.graph.val_mask)
+                    self.history.val_accuracy.append(val_acc)
+                    if val_acc > best_val:
+                        best_val = val_acc
+                        best_weights = self.model.get_weights()
+                        self.history.best_val_accuracy = val_acc
+                        self.history.best_epoch = epoch + 1
+                        epochs_without_improvement = 0
+                    else:
+                        epochs_without_improvement += config.eval_every
+                    if epochs_without_improvement >= config.patience:
+                        break
+            train_handle.tag(
+                epochs_run=self.history.epochs_run,
+                sample_wait_s=round(self.history.sample_wait_s, 6),
+            )
 
         self.model.set_weights(best_weights)
         self.history.train_time_s = time.perf_counter() - start
@@ -269,8 +177,6 @@ def train_node_classifier(
     config: Optional[GnnConfig] = None,
     *,
     rng: Optional[np.random.Generator] = None,
-    pool: Optional[WorkerPool] = None,
-    prefetch: Optional[int] = None,
 ) -> tuple[GraphSageClassifier, TrainingHistory]:
     """Build, train and return a node classifier for ``graph``."""
     if config is None:
@@ -284,6 +190,6 @@ def train_node_classifier(
             }
         )
     model = GraphSageClassifier(config)
-    trainer = Trainer(model, graph, config=config, rng=rng, pool=pool, prefetch=prefetch)
+    trainer = Trainer(model, graph, config=config, rng=rng)
     history = trainer.fit()
     return model, history

@@ -8,11 +8,10 @@ exposition format (the ``/metricsz`` story).
 
 Process model: every process owns a registry *stack*.  ``get_registry()``
 returns the top; :func:`scoped_registry` pushes a fresh registry for the
-duration of one unit of work (a campaign task, an intra-pool job) so the
-unit's delta can be shipped elsewhere without double counting.  The stack is
-process-global on purpose — helper threads (batch prefetchers, intra thread
-pools) must land their increments in the ambient unit's registry, which a
-thread-local stack would lose.
+duration of one unit of work (a campaign task) so the unit's delta can be
+shipped elsewhere without double counting.  The stack is process-global on
+purpose — helper threads must land their increments in the ambient unit's
+registry, which a thread-local stack would lose.
 
 Counters and histograms merge by addition; gauges merge last-write-wins.
 Nothing here ever reaches result records, fingerprints, or reports — the

@@ -142,8 +142,8 @@ def scoped_tracer(tracer: Optional[Tracer] = None) -> Iterator[Tracer]:
 # ----------------------------------------------------------------------
 # Ambient tags: campaign/job/task ids attached to every span emitted while
 # the context is active.  Process-global (not thread-local) on purpose —
-# prefetch threads and intra thread-pool workers emit spans on behalf of the
-# ambient task and must inherit its ids.
+# helper threads emit spans on behalf of the ambient task and must inherit
+# its ids.
 
 _CONTEXT: Dict[str, object] = {}
 _CONTEXT_LOCK = threading.Lock()

@@ -194,16 +194,9 @@ class AttackTask:
     #: Wall-clock budget measured from campaign submission (None = unlimited).
     timeout_s: Optional[float] = None
 
-    def canonical(self, *, pooled: bool = False) -> Dict[str, object]:
-        """Identity of the task *result* (excludes scheduling details).
-
-        ``pooled`` marks results computed under an intra-task worker pool —
-        a deliberately different (equally deterministic) RNG stream than the
-        legacy serial path, so the two must never satisfy each other's
-        resume lookups or share cached records.  Legacy identities are
-        unchanged, keeping existing stores resumable.
-        """
-        payload = {
+    def canonical(self) -> Dict[str, object]:
+        """Identity of the task *result* (excludes scheduling details)."""
+        return {
             "kind": "task",
             "dataset": self.dataset.canonical(),
             "target": self.target_benchmark,
@@ -214,35 +207,22 @@ class AttackTask:
             "apply_postprocessing": self.apply_postprocessing,
             "attack_params": sorted(self.attack_params),
         }
-        if pooled:
-            payload["stream"] = "pooled"
-        return payload
 
-    def fingerprint(self, *, pooled: bool = False) -> str:
-        return fingerprint(self.canonical(pooled=pooled))
+    def fingerprint(self) -> str:
+        return fingerprint(self.canonical())
 
-    def model_canonical(self, *, pooled: bool = False) -> Dict[str, object]:
-        """Identity of the trained model (prediction-stage knobs excluded).
-
-        ``pooled`` marks models trained under an intra-task worker pool:
-        the pooled normalisation stream deliberately differs from the legacy
-        serial stream (see :mod:`repro.parallel`), so the two variants are
-        distinct artifacts and must never share a cache entry.  Legacy keys
-        are unchanged, keeping previously cached models addressable.
-        """
-        payload = {
+    def model_canonical(self) -> Dict[str, object]:
+        """Identity of the trained model (prediction-stage knobs excluded)."""
+        return {
             "kind": "model",
             "dataset": self.dataset.canonical(),
             "target": self.target_benchmark,
             "validation": self.validation_benchmark,
             "gnn": dict(self.config.gnn.__dict__),
         }
-        if pooled:
-            payload["stream"] = "pooled"
-        return payload
 
-    def model_fingerprint(self, *, pooled: bool = False) -> str:
-        return fingerprint(self.model_canonical(pooled=pooled))
+    def model_fingerprint(self) -> str:
+        return fingerprint(self.model_canonical())
 
 
 # ----------------------------------------------------------------------

@@ -41,14 +41,10 @@ Examples::
     python -m repro status 1b2c3d4e5f607182
     python -m repro fetch 1b2c3d4e5f607182 --report
 
-Worker budgeting: ``--workers`` fans *tasks* over processes while
-``--intra-workers`` (or ``REPRO_INTRA_WORKERS``) budgets the worker pools
-*inside* each task (GraphSAINT normalisation walks, sharded SAT equivalence
-shards; backend via ``REPRO_INTRA_BACKEND``).  The executor divides the
-intra budget by the task-level worker count so the two never oversubscribe
-the machine.  Setting ``REPRO_CACHE_MAX_BYTES`` / ``REPRO_CACHE_MAX_AGE``
-makes every ``repro run`` finish with an automatic ``cache gc`` under that
-budget.
+Worker budgeting: ``--workers`` fans *tasks* over processes; each task
+runs serially inside its process.  Setting ``REPRO_CACHE_MAX_BYTES`` /
+``REPRO_CACHE_MAX_AGE`` makes every ``repro run`` finish with an automatic
+``cache gc`` under that budget.
 """
 
 from __future__ import annotations
@@ -247,11 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cache_arguments(run)
     run.add_argument("--workers", type=int, help="process count (default: CPUs)")
     run.add_argument(
-        "--intra-workers", type=int, default=None,
-        help="global intra-task worker budget, divided across task workers "
-        "(default: REPRO_INTRA_WORKERS, i.e. serial tasks)",
-    )
-    run.add_argument(
         "--serial", action="store_true", help="run in-process, one task at a time"
     )
     run.add_argument(
@@ -316,10 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     matrix.add_argument("--timeout", type=float, help="per-task budget in seconds")
     matrix.add_argument("--workers", type=int, help="process count (default: CPUs)")
-    matrix.add_argument(
-        "--intra-workers", type=int, default=None,
-        help="global intra-task worker budget (default: REPRO_INTRA_WORKERS)",
-    )
     matrix.add_argument(
         "--serial", action="store_true", help="run in-process, one task at a time"
     )
@@ -511,11 +498,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--task-workers", type=int, default=None,
         help="task processes per job (default: CPUs // job-workers)",
-    )
-    serve.add_argument(
-        "--intra-workers", type=int, default=None,
-        help="global intra-task worker budget shared by every concurrent job "
-        "(default: REPRO_INTRA_WORKERS)",
     )
     serve.add_argument(
         "--cache-max-bytes", type=parse_size, default=None, metavar="SIZE",
@@ -758,7 +740,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         serial=args.serial,
         store=store,
         resume=args.resume,
-        intra_workers=args.intra_workers,
         echo=print,
     )
     display = []
@@ -982,7 +963,6 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
         serial=args.serial,
         store=store,
         resume=not args.no_resume,
-        intra_workers=args.intra_workers,
         echo=print,
     )
     records = list(store.latest().values())
@@ -1201,7 +1181,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         port=args.port,
         job_slots=args.job_workers,
         task_workers=args.task_workers,
-        intra_workers=args.intra_workers,
         cache_dir=args.cache_dir,
         use_cache=not args.no_cache,
         cache_max_bytes=args.cache_max_bytes,

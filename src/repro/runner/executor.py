@@ -12,13 +12,6 @@ Determinism: dataset generation seeds from the dataset spec
 the task identity, never from execution order — a parallel run and a serial
 run of the same campaign produce bit-identical records.
 
-Intra-task parallelism: ``run_campaign(..., intra_workers=N)`` (or
-``REPRO_INTRA_WORKERS``) is a *global* budget for the per-task worker pools
-(:mod:`repro.parallel`).  The executor divides it by the number of campaign
-worker processes before handing each task its share, so nested pools never
-oversubscribe the machine; a share of one keeps the task on the legacy
-serial hot path.
-
 Housekeeping: when ``REPRO_CACHE_MAX_BYTES`` / ``REPRO_CACHE_MAX_AGE`` are
 set, ``run_campaign`` garbage-collects the artifact cache after the campaign
 (least-recently-used first) instead of relying on operators to run
@@ -52,7 +45,6 @@ from ..obs import (
     tag_context,
     write_sidecar,
 )
-from ..parallel import intra_budget, intra_worker_budget, pool_from_budget
 from .cache import (
     ArtifactCache,
     CacheStats,
@@ -146,11 +138,11 @@ def outcome_record(outcome: AttackOutcome) -> Dict[str, object]:
     }
 
 
-def _task_metadata(task: AttackTask, *, pooled: bool = False) -> Dict[str, object]:
+def _task_metadata(task: AttackTask) -> Dict[str, object]:
     ds = task.dataset
     return {
         "task_id": task.task_id,
-        "fingerprint": task.fingerprint(pooled=pooled),
+        "fingerprint": task.fingerprint(),
         "attack": task.attack,
         "target": task.target_benchmark,
         "scheme": ds.scheme,
@@ -233,19 +225,12 @@ def _task_telemetry(
 def execute_task(
     task: AttackTask,
     cache_dir: Optional[str] = None,
-    intra_workers: Optional[int] = None,
     submitted_at: Optional[float] = None,
     obs_dir: Optional[str] = None,
     *,
     cache: Optional[ArtifactCache] = None,
 ) -> TaskResult:
     """Run one task, consulting/filling the artifact cache.
-
-    ``intra_workers`` is this task's share of the global intra-task worker
-    budget (``None`` = consult ``REPRO_INTRA_WORKERS``); a share above one
-    builds a :mod:`repro.parallel` pool for the GNN sampler and the sharded
-    equivalence checks, and is pinned into the environment for the task's
-    duration so nested stages see the share, not the campaign-wide value.
 
     ``submitted_at`` is the wall-clock (``time.time()``) instant the campaign
     submitted the task; the gap to now is reported as ``queue_wait_s`` so
@@ -272,34 +257,24 @@ def execute_task(
     events: Dict[str, str] = {}
     with _task_telemetry(task, cache, queue_wait_s, submitted_at, obs_dir):
         try:
-            with intra_budget(intra_workers):
-                budget = (
-                    intra_worker_budget() if intra_workers is None else intra_workers
+            instances = _load_or_generate_dataset(task, cache, events)
+            if task.attack == "gnnunlock":
+                record = _run_gnnunlock(task, instances, cache, events)
+            elif task.attack == "dataset-summary":
+                record = _run_dataset_summary(task, instances)
+            elif task.attack in BASELINE_ATTACKS:
+                record = _run_baseline(task, instances)
+                events["model"] = "off"
+            else:
+                raise ValueError(
+                    f"unknown attack {task.attack!r}; choose 'gnnunlock', "
+                    f"'dataset-summary' or one of {sorted(BASELINE_ATTACKS)}"
                 )
-                pooled = budget > 1
-                pool = pool_from_budget(budget)
-                instances = _load_or_generate_dataset(task, cache, events)
-                if task.attack == "gnnunlock":
-                    record = _run_gnnunlock(task, instances, cache, events, pool=pool)
-                elif task.attack == "dataset-summary":
-                    record = _run_dataset_summary(task, instances)
-                elif task.attack in BASELINE_ATTACKS:
-                    record = _run_baseline(task, instances, pool=pool)
-                    events["model"] = "off"
-                else:
-                    raise ValueError(
-                        f"unknown attack {task.attack!r}; choose 'gnnunlock', "
-                        f"'dataset-summary' or one of {sorted(BASELINE_ATTACKS)}"
-                    )
-            record.update(_task_metadata(task, pooled=pooled))
-            if pooled:
-                # Pooled runs use identity-seeded parallel streams; keep that
-                # visible in the record (legacy serial records stay byte-stable).
-                record["intra_workers"] = int(budget)
+            record.update(_task_metadata(task))
             record["cache"] = dict(events)
             return TaskResult(
                 task_id=task.task_id,
-                fingerprint=task.fingerprint(pooled=pooled),
+                fingerprint=task.fingerprint(),
                 status="ok",
                 wall_time_s=time.perf_counter() - started,
                 queue_wait_s=queue_wait_s,
@@ -310,9 +285,7 @@ def execute_task(
         except Exception as exc:  # noqa: BLE001 - crash isolation is the contract
             return TaskResult(
                 task_id=task.task_id,
-                fingerprint=task.fingerprint(
-                    pooled=(intra_workers or intra_worker_budget()) > 1
-                ),
+                fingerprint=task.fingerprint(),
                 status="failed",
                 wall_time_s=time.perf_counter() - started,
                 queue_wait_s=queue_wait_s,
@@ -347,13 +320,10 @@ def _run_gnnunlock(
     instances: list,
     cache: ArtifactCache,
     events: Dict[str, str],
-    pool=None,
 ) -> Dict[str, object]:
     dataset = task.dataset.build(instances)
     model = history = None
-    # Pooled and legacy training produce different (each deterministic)
-    # weights; key the cache by the stream so they never cross-contaminate.
-    model_key = task.model_fingerprint(pooled=pool is not None)
+    model_key = task.model_fingerprint()
     if cache.enabled:
         cached = cache.get("model", model_key)
         if cached is not None:
@@ -369,7 +339,6 @@ def _run_gnnunlock(
             task.target_benchmark,
             config=task.config,
             validation_benchmark=task.validation_benchmark,
-            pool=pool,
         )
         if cache.enabled:
             cache.put("model", model_key, (model, history))
@@ -382,7 +351,6 @@ def _run_gnnunlock(
         apply_postprocessing=task.apply_postprocessing,
         model=model,
         history=history,
-        pool=pool,
     )
     return outcome_record(outcome)
 
@@ -401,14 +369,14 @@ def _run_dataset_summary(task: AttackTask, instances: list) -> Dict[str, object]
     }
 
 
-def _run_baseline(task: AttackTask, instances: list, pool=None) -> Dict[str, object]:
+def _run_baseline(task: AttackTask, instances: list) -> Dict[str, object]:
     attack_fn = _resolve_baseline(task.attack)
     kwargs = dict(task.attack_params)
     results = []
     for inst in instances:
         if inst.benchmark != task.target_benchmark:
             continue
-        baseline = attack_fn(inst.result, pool=pool, **kwargs)
+        baseline = attack_fn(inst.result, **kwargs)
         results.append(
             {
                 "instance": inst.name,
@@ -464,7 +432,6 @@ def run_campaign(
     serial: bool = False,
     store=None,
     resume: bool = False,
-    intra_workers: Optional[int] = None,
     echo: Optional[Callable[[str], None]] = None,
     on_result: Optional[Callable[[int, int, TaskResult], None]] = None,
     cancel: Optional[Callable[[], bool]] = None,
@@ -481,17 +448,7 @@ def run_campaign(
     already has an ``ok`` record in the store: the stored record is returned
     as a ``skipped`` result and nothing is re-executed or re-appended, so an
     interrupted campaign picks up exactly where it stopped and the final
-    store contents match an uninterrupted run.  Fingerprints are
-    stream-aware: records produced under an intra-task pool carry a
-    ``pooled`` stamp, so resuming with a different intra-worker share never
-    splices legacy-serial and pooled results into one report — the tasks
-    simply re-execute on the requested stream.
-
-    ``intra_workers`` is the campaign-wide budget for *intra*-task worker
-    pools (default: ``REPRO_INTRA_WORKERS``).  Tasks fanned out over ``W``
-    processes each receive ``max(1, intra_workers // W)`` so the two levels
-    of parallelism together never oversubscribe the machine; a serial
-    campaign hands the whole budget to each task in turn.
+    store contents match an uninterrupted run.
 
     ``timeout_s`` is a campaign wall-clock budget per task, measured from
     campaign submission (per-task *runtime* cannot be observed from outside
@@ -536,24 +493,6 @@ def run_campaign(
         cache_path = None
     tasks = list(tasks)
 
-    # One share for the whole campaign (divided over the task-level workers,
-    # computed from the full grid so resume skips cannot change it): this is
-    # what execute_task receives, so it is also the stream the resume lookup
-    # must match.
-    total_intra = (
-        intra_worker_budget() if intra_workers is None else max(1, intra_workers)
-    )
-    if serial or workers == 1 or len(tasks) <= 1:
-        intra_share = total_intra
-    else:
-        # Divide by the tasks that can actually run concurrently: an
-        # oversized explicit --workers must not dilute the share to nothing.
-        task_workers = min(workers, len(tasks)) if workers else min(
-            len(tasks), os.cpu_count() or 2
-        )
-        intra_share = max(1, total_intra // max(1, task_workers))
-    pooled = intra_share > 1
-
     completed: Dict[str, Dict[str, object]] = {}
     if resume:
         if store is None:
@@ -563,7 +502,7 @@ def run_campaign(
             for fp, record in store.latest().items()
             if record.get("status") == "ok"
         }
-    prior_records = [completed.get(task.fingerprint(pooled=pooled)) for task in tasks]
+    prior_records = [completed.get(task.fingerprint()) for task in tasks]
     pending = [task for task, prior in zip(tasks, prior_records) if prior is None]
     if resume:
         echo(
@@ -579,7 +518,6 @@ def run_campaign(
         cache_path=cache_path,
         serial=serial,
         store=store,
-        intra_workers=intra_share,
         echo=echo,
         cancel=cancel,
         obs_dir=obs_dir,
@@ -590,7 +528,7 @@ def run_campaign(
             if prior is not None:
                 result = TaskResult(
                     task_id=task.task_id,
-                    fingerprint=task.fingerprint(pooled=pooled),
+                    fingerprint=task.fingerprint(),
                     status="skipped",
                     record=prior,
                 )
@@ -672,7 +610,6 @@ def _run_pending(
     cache_path: Optional[str],
     serial: bool,
     store,
-    intra_workers: int = 1,
     echo: Callable[[str], None],
     cancel: Optional[Callable[[], bool]] = None,
     obs_dir: Optional[str] = None,
@@ -681,12 +618,9 @@ def _run_pending(
 
     A generator so :func:`run_campaign` can stream each result to its
     progress hook as it lands instead of after the whole campaign.
-    ``intra_workers`` is each task's final share of the global budget (the
-    campaign-level division already happened in :func:`run_campaign`).
     """
     submitted = time.perf_counter()
     submitted_wall = time.time()
-    pooled = intra_workers > 1
     cancelled = cancel if cancel is not None else (lambda: False)
 
     def stopped_result(
@@ -698,7 +632,7 @@ def _run_pending(
         elapsed = time.perf_counter() - submitted
         return TaskResult(
             task_id=task.task_id,
-            fingerprint=task.fingerprint(pooled=pooled),
+            fingerprint=task.fingerprint(),
             status=status,
             wall_time_s=elapsed if started else 0.0,
             queue_wait_s=0.0 if started else elapsed,
@@ -720,11 +654,9 @@ def _run_pending(
                     "the task started",
                 )
             else:
-                result = execute_task(
-                    task, cache_path, intra_workers, submitted_wall, obs_dir
-                )
+                result = execute_task(task, cache_path, submitted_wall, obs_dir)
             _report(echo, index, len(tasks), result)
-            _append(store, task, result, pooled=pooled)
+            _append(store, task, result)
             yield result
         return
 
@@ -734,9 +666,7 @@ def _run_pending(
     produced = 0
     try:
         futures = [
-            pool.submit(
-                execute_task, task, cache_path, intra_workers, submitted_wall, obs_dir
-            )
+            pool.submit(execute_task, task, cache_path, submitted_wall, obs_dir)
             for task in tasks
         ]
         for index, (task, future) in enumerate(zip(tasks, futures)):
@@ -756,7 +686,7 @@ def _run_pending(
                         started=True,
                     )
                 _report(echo, index, len(tasks), result)
-                _append(store, task, result, pooled=pooled)
+                _append(store, task, result)
                 yield result
                 continue
             remaining: Optional[float] = None
@@ -791,13 +721,13 @@ def _run_pending(
             except Exception as exc:  # noqa: BLE001 - e.g. BrokenProcessPool
                 result = TaskResult(
                     task_id=task.task_id,
-                    fingerprint=task.fingerprint(pooled=pooled),
+                    fingerprint=task.fingerprint(),
                     status="failed",
                     wall_time_s=time.perf_counter() - submitted,
                     error=f"{type(exc).__name__}: {exc}",
                 )
             _report(echo, index, len(tasks), result)
-            _append(store, task, result, pooled=pooled)
+            _append(store, task, result)
             produced += 1
             yield result
     finally:
@@ -834,10 +764,10 @@ def _report(echo: Callable[[str], None], index: int, total: int, result: TaskRes
     )
 
 
-def _append(store, task: AttackTask, result: TaskResult, *, pooled: bool = False) -> None:
+def _append(store, task: AttackTask, result: TaskResult) -> None:
     if store is None:
         return
-    record = dict(result.record or _task_metadata(task, pooled=pooled))
+    record = dict(result.record or _task_metadata(task))
     record["status"] = result.status
     record["wall_time_s"] = result.wall_time_s
     record["queue_wait_s"] = result.queue_wait_s
@@ -847,13 +777,11 @@ def _append(store, task: AttackTask, result: TaskResult, *, pooled: bool = False
     store.append(record)
 
 
-def append_result(
-    store, task: AttackTask, result: TaskResult, *, pooled: bool = False
-) -> None:
+def append_result(store, task: AttackTask, result: TaskResult) -> None:
     """Append one finished task's record to ``store``.
 
     Public seam for out-of-band executors (the fleet coordinator) that
     must write records with exactly the shape ``run_campaign`` writes —
     the report renderer's byte-identity guarantee depends on it.
     """
-    _append(store, task, result, pooled=pooled)
+    _append(store, task, result)

@@ -8,7 +8,6 @@ from .equivalence import (
     structurally_equivalent,
     EquivalenceResult,
     check_equivalence,
-    cone_circuit,
     equivalent,
     miter_cnf,
 )
@@ -23,7 +22,6 @@ __all__ = [
     "encode_circuit",
     "EquivalenceResult",
     "check_equivalence",
-    "cone_circuit",
     "equivalent",
     "miter_cnf",
     "structurally_identical",

@@ -7,35 +7,17 @@ into a single flag — and ask the SAT solver whether the flag can be 1.
 
 For circuits whose input count is small, an exhaustive-simulation check is
 also provided (and used as a cross-check in the tests).
-
-Sharded verification
---------------------
-The monolithic miter is one big SAT query, but equivalence is naturally a
-conjunction of per-output claims.  When a :class:`~repro.parallel.WorkerPool`
-is available (explicitly, or through the ``REPRO_INTRA_WORKERS`` budget),
-:func:`check_equivalence` splits the query into one *shard per primary
-output*, each restricted to the output's fan-in cones in both circuits:
-shards are smaller than the full miter, structurally identical cone pairs
-skip SAT entirely, and shards solve concurrently with a deterministic
-short-circuit — the first (lowest-index) satisfiable shard wins and later
-shards are cancelled.  Verdict, counterexample and conflict count are
-bit-identical across the serial, thread and process backends; the legacy
-single-query path remains the default when no pool is in budget.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import CancelledError
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
 from ..netlist.circuit import Circuit, CircuitError
-from ..obs import span
 from ..netlist.simulate import exhaustive_patterns, simulate_patterns
-from ..netlist.traversal import fanin_cone, transitive_inputs
-from ..parallel import WorkerPool, resolve_pool
 from .cnf import CNF
 from .solver import solve
 from .tseitin import CircuitEncoder
@@ -43,7 +25,6 @@ from .tseitin import CircuitEncoder
 __all__ = [
     "EquivalenceResult",
     "check_equivalence",
-    "cone_circuit",
     "equivalent",
     "miter_cnf",
     "structurally_identical",
@@ -59,8 +40,6 @@ class EquivalenceResult:
     counterexample: Optional[Dict[str, bool]]
     method: str
     conflicts: int = 0
-    #: Number of per-output shards the proof split into (0 = monolithic).
-    shards: int = 0
 
     def __bool__(self) -> bool:
         return self.equivalent
@@ -214,139 +193,6 @@ def structurally_equivalent(a: Circuit, b: Circuit) -> bool:
     return True
 
 
-def cone_circuit(
-    circuit: Circuit, output: str, *, order: Optional[Sequence[str]] = None
-) -> Circuit:
-    """The sub-circuit feeding one primary output (its fan-in cone).
-
-    Inputs and key inputs keep their declaration order (restricted to the
-    cone's structural support) and gates keep their topological order, so the
-    extraction — and everything downstream of it, CNF variable numbering
-    included — is deterministic.  Callers extracting many cones of the same
-    circuit pass ``order=circuit.topological_order()`` once instead of
-    paying the per-call list copy.
-    """
-    cone = fanin_cone(circuit, output)
-    support = transitive_inputs(circuit, output)
-    sub = Circuit(f"{circuit.name}.{output}", circuit.library)
-    for net in circuit.inputs:
-        if net in support:
-            sub.add_input(net)
-    for net in circuit.key_inputs:
-        if net in support:
-            sub.add_key_input(net)
-    if order is None:
-        order = circuit.topological_order()
-    for name in order:
-        if name in cone:
-            gate = circuit.gate(name)
-            sub.add_gate(name, gate.cell, gate.inputs)
-    sub.add_output(output)
-    return sub
-
-
-def _solve_shard(shard: Tuple) -> Tuple[bool, Optional[Dict[str, bool]], int]:
-    """Pool job: decide equivalence of one per-output cone pair.
-
-    Structurally matching cones are accepted without touching the solver —
-    on removal-verification workloads most outputs are untouched by the
-    attack, so this fast path usually leaves only a handful of real SAT
-    shards.  Returns ``(outputs_equal, counterexample, conflicts)``.
-    """
-    sub_a, sub_b, key_assignment, max_conflicts = shard
-    with span("equivalence_shard", output=next(iter(sub_a.outputs), None)) as handle:
-        if not key_assignment and (
-            structurally_identical(sub_a, sub_b)
-            or structurally_equivalent(sub_a, sub_b)
-        ):
-            handle.tag(structural=True, equal=True)
-            return True, None, 0
-        cnf, shared_vars = miter_cnf(sub_a, sub_b, key_assignment=key_assignment)
-        result = solve(cnf, max_conflicts=max_conflicts)
-        if not result.satisfiable:
-            handle.tag(structural=False, equal=True)
-            return True, None, result.conflicts
-        assignment = {net: result.value(var) for net, var in shared_vars.items()}
-        handle.tag(structural=False, equal=False)
-        return False, assignment, result.conflicts
-
-
-def _check_sat_sharded(
-    a: Circuit,
-    b: Circuit,
-    key_assignment: Mapping[str, bool],
-    outputs: Sequence[str],
-    pool: WorkerPool,
-    max_conflicts: Optional[int],
-) -> EquivalenceResult:
-    """Solve one cone-restricted miter per output, concurrently.
-
-    Results are deterministic regardless of backend or completion order: the
-    accepted counterexample comes from the lowest-index satisfiable shard
-    (exactly the shard a serial in-order scan would have stopped at), the
-    conflict count sums the shards that scan would have solved, and an error
-    in a shard the scan would have reached first is the error raised.
-    """
-    shards = []
-    order_a = a.topological_order()
-    order_b = b.topological_order()
-    for output in outputs:
-        sub_a = cone_circuit(a, output, order=order_a)
-        sub_b = cone_circuit(b, output, order=order_b)
-        interface = (
-            set(sub_a.inputs) | set(sub_a.key_inputs)
-            | set(sub_b.inputs) | set(sub_b.key_inputs)
-        )
-        keys = {net: bool(v) for net, v in key_assignment.items() if net in interface}
-        shards.append((sub_a, sub_b, keys, max_conflicts))
-
-    futures = [pool.submit(_solve_shard, shard) for shard in shards]
-    index_of = {future: idx for idx, future in enumerate(futures)}
-    outcomes: Dict[int, Tuple[bool, Optional[Dict[str, bool]], int]] = {}
-    errors: Dict[int, BaseException] = {}
-    winner: Optional[int] = None
-    for future in pool.as_completed(futures):
-        if future.cancelled():
-            continue
-        idx = index_of[future]
-        try:
-            outcomes[idx] = future.result()
-        except CancelledError:
-            continue
-        except Exception as exc:  # noqa: BLE001 - re-raised in index order below
-            errors[idx] = exc
-            continue
-        if not outcomes[idx][0] and (winner is None or idx < winner):
-            winner = idx
-            for later in futures[winner + 1:]:
-                later.cancel()
-
-    for idx in range(len(outputs)):
-        if winner is not None and idx > winner:
-            break
-        if idx in errors:
-            raise errors[idx]
-
-    if winner is None:
-        conflicts = sum(outcomes[idx][2] for idx in sorted(outcomes))
-        return EquivalenceResult(True, None, "sat", conflicts, shards=len(shards))
-
-    conflicts = sum(outcomes[idx][2] for idx in range(winner + 1))
-    # Complete the winning cone's assignment to the full shared interface:
-    # nets outside the cone cannot influence the differing output, so any
-    # constant completes a valid counterexample — False, deterministically.
-    assignment = outcomes[winner][1] or {}
-    free_inputs = (
-        (set(a.inputs) | set(a.key_inputs) | set(b.inputs) | set(b.key_inputs))
-        - set(key_assignment)
-    )
-    counterexample = {net: assignment.get(net, False) for net in sorted(free_inputs)}
-    counterexample.update({net: bool(v) for net, v in key_assignment.items()})
-    return EquivalenceResult(
-        False, counterexample, "sat", conflicts, shards=len(shards)
-    )
-
-
 def check_equivalence(
     a: Circuit,
     b: Circuit,
@@ -354,7 +200,6 @@ def check_equivalence(
     key_assignment: Optional[Mapping[str, bool]] = None,
     method: str = "auto",
     max_conflicts: Optional[int] = None,
-    pool: Optional[WorkerPool] = None,
 ) -> EquivalenceResult:
     """Check combinational equivalence of two circuits.
 
@@ -367,11 +212,6 @@ def check_equivalence(
         ``"auto"`` (default: structural fast path, then SAT), ``"sat"``,
         ``"structural"`` (fast path only; inconclusive -> not equivalent) or
         ``"exhaustive"`` (only for small input counts).
-    pool:
-        Worker pool for the sharded SAT strategy (one cone-restricted miter
-        per shared output).  ``None`` consults the global
-        ``REPRO_INTRA_WORKERS`` budget; with no pool in budget the historic
-        monolithic query runs, bit-identical to previous releases.
     """
     if method == "exhaustive":
         return _check_exhaustive(a, b, key_assignment or {})
@@ -389,13 +229,6 @@ def check_equivalence(
         method = "sat"
     if method != "sat":
         raise ValueError(f"unknown equivalence method {method!r}")
-
-    pool = resolve_pool(pool)
-    shared_outputs = sorted(set(a.outputs) & set(b.outputs))
-    if pool is not None and len(shared_outputs) > 1:
-        return _check_sat_sharded(
-            a, b, dict(key_assignment or {}), shared_outputs, pool, max_conflicts
-        )
 
     cnf, shared_vars = miter_cnf(a, b, key_assignment=key_assignment)
     result = solve(cnf, max_conflicts=max_conflicts)

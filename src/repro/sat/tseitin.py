@@ -6,9 +6,8 @@ variables.  Cells with no hand-written encoding are encoded from their truth
 table (exact, fine for the <=5-input cells in our libraries).
 
 Encoding the same circuit repeatedly is a hot path: a miter encodes both
-halves, the SAT attack encodes two keyed copies plus one copy per DIP, and
-the sharded equivalence checker re-encodes per-output cones.  ``encode``
-therefore memoises a per-circuit **encoding template** — the exact variable
+halves, and the SAT attack encodes two keyed copies plus one copy per DIP.
+``encode`` therefore memoises a per-circuit **encoding template** — the exact variable
 allocation order and clause stream of a direct encode, keyed by a structural
 fingerprint — and instantiates it by replaying the allocations into the
 target CNF.  Instantiation is guaranteed to produce byte-identical clauses

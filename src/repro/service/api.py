@@ -729,11 +729,6 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             return 200, {
                 "job_id": job.job_id,
                 "spec": job.spec.to_json_dict(),
-                "intra_workers": (
-                    self.service.fleet.intra_workers
-                    if self.service.fleet is not None
-                    else 1
-                ),
             }
         if action == "stream":
             return self._stream(job, identity)
@@ -930,7 +925,6 @@ class CampaignService:
         port: int = 0,
         job_slots: int = 1,
         task_workers: Optional[int] = None,
-        intra_workers: Optional[int] = None,
         cache_dir: Optional[os.PathLike] = None,
         use_cache: bool = True,
         cache_max_bytes: Optional[int] = None,
@@ -1007,7 +1001,6 @@ class CampaignService:
             self.worker = FleetCoordinator(
                 self.queue,
                 lease_ttl_s=lease_ttl_s,
-                intra_workers=intra_workers if intra_workers is not None else 1,
                 max_active_jobs=job_slots,
                 cache_dir=resolved_cache_dir,
                 use_cache=use_cache,
@@ -1023,7 +1016,6 @@ class CampaignService:
                 self.queue,
                 job_slots=job_slots,
                 task_workers=task_workers,
-                intra_workers=intra_workers,
                 cache_dir=resolved_cache_dir,
                 use_cache=use_cache,
                 cache_max_bytes=cache_max_bytes,

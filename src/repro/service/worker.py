@@ -3,15 +3,9 @@
 Each worker slot claims one job at a time and executes it with
 ``run_campaign(..., resume=True)`` against the job's own result store, so a
 service restart (or a failed-job resubmission) re-runs only the tasks that
-never finished.  Worker budgets divide the machine instead of oversubscribing
-it:
-
-* the **intra-task** budget (``REPRO_INTRA_WORKERS`` or the service's
-  ``intra_workers`` option) is split evenly across the ``job_slots``
-  concurrent jobs, and ``run_campaign`` further divides each job's share
-  across its task processes;
-* the **task-process** count per job defaults to ``cpu_count // job_slots``
-  so two concurrent jobs on an 8-core box get 4 processes each.
+never finished.  The task-process count per job defaults to
+``cpu_count // job_slots``, so two concurrent jobs on an 8-core box get 4
+processes each instead of oversubscribing the machine.
 
 Between jobs the worker garbage-collects the artifact cache under the
 service's ``cache_max_bytes`` / ``cache_max_age_s`` budget (on top of the
@@ -26,7 +20,6 @@ import threading
 from typing import Callable, List, Optional
 
 from ..obs import MetricsRegistry, emit, emit_span, tag_context
-from ..parallel import intra_worker_budget
 from ..runner.cache import ArtifactCache, default_cache_dir
 from ..runner.executor import run_campaign
 from ..runner.store import ResultStore
@@ -44,7 +37,6 @@ class JobWorker:
         *,
         job_slots: int = 1,
         task_workers: Optional[int] = None,
-        intra_workers: Optional[int] = None,
         cache_dir: Optional[os.PathLike] = None,
         use_cache: bool = True,
         cache_max_bytes: Optional[int] = None,
@@ -67,11 +59,6 @@ class JobWorker:
             self.task_workers = max(1, int(task_workers))
         else:
             self.task_workers = max(1, cpus // self.job_slots)
-        total_intra = (
-            intra_worker_budget() if intra_workers is None else max(1, int(intra_workers))
-        )
-        #: Each concurrent job's share of the global intra-task budget.
-        self.intra_share = max(1, total_intra // self.job_slots)
         self.cache_dir = cache_dir if cache_dir is not None else default_cache_dir()
         self.use_cache = use_cache
         self.cache_max_bytes = cache_max_bytes
@@ -170,7 +157,6 @@ class JobWorker:
                     use_cache=self.use_cache,
                     store=store,
                     resume=True,
-                    intra_workers=self.intra_share,
                     # Campaign progress lines inherit the job id and honour
                     # REPRO_LOG=json like every other service log line.
                     echo=lambda message: emit(

@@ -6,23 +6,7 @@ same campaign artifacts.  Small enough for seconds-per-table, large enough
 for a real leave-one-design-out split (3 designs: train / validate / attack).
 """
 
-import pytest
-
 from repro.core import AttackConfig
-from repro.parallel import INTRA_WORKERS_ENV
-
-
-@pytest.fixture(autouse=True)
-def _legacy_serial_budget(monkeypatch):
-    """Pin the harness tests to the legacy serial intra-task path.
-
-    Golden tables are defined by the sequential RNG stream; an ambient
-    ``REPRO_INTRA_WORKERS`` (e.g. the CI smoke job that runs the whole suite
-    with a budget of 2) switches training to identity-seeded pooled streams
-    and would shift every number.  The pooled path has its own determinism
-    wall in ``tests/parallel``.
-    """
-    monkeypatch.delenv(INTRA_WORKERS_ENV, raising=False)
 
 TINY = AttackConfig(locks_per_setting=1, iscas_key_sizes=(8,), seed=5).with_gnn(
     hidden_dim=16, epochs=10, root_nodes=200, eval_every=2, patience=10

@@ -10,13 +10,28 @@ import numpy as np
 import pytest
 
 from repro.core import (
+    ANTISAT_CLASSES,
+    SFLL_CLASSES,
+    LockedInstance,
     RemovalError,
+    build_dataset,
     postprocess_antisat,
     postprocess_predictions,
     postprocess_sfll,
     remove_protection_logic,
 )
-from repro.locking import ANTISAT, DESIGN, PERTURB, RESTORE
+from repro.core.attack import _attack_instance, _class_names_of
+from repro.locking import (
+    ANTISAT,
+    CYCLE,
+    DESIGN,
+    PERTURB,
+    RESTORE,
+    CyclicLocking,
+    RandomXorLocking,
+    SarLockLocking,
+    TTLockLocking,
+)
 from repro.sat import check_equivalence
 
 
@@ -63,7 +78,7 @@ class TestAntiSatPostprocessing:
 
     def test_dispatcher_selects_antisat(self, antisat_locked):
         rectified = postprocess_predictions(
-            antisat_locked.locked, _truth(antisat_locked)
+            antisat_locked.locked, _truth(antisat_locked), ANTISAT_CLASSES
         )
         _assert_recoverable(antisat_locked, rectified)
 
@@ -127,8 +142,51 @@ class TestSfllPostprocessing:
         _assert_recoverable(locked, rectified)
 
     def test_dispatcher_selects_sfll(self, locked):
-        rectified = postprocess_predictions(locked.locked, _truth(locked))
+        rectified = postprocess_predictions(
+            locked.locked, _truth(locked), SFLL_CLASSES
+        )
         _assert_recoverable(locked, rectified)
+
+
+class TestDispatchByFamily:
+    """The rectifier follows the locking family, not the predicted labels."""
+
+    @pytest.mark.parametrize(
+        "scheme", [CyclicLocking, SarLockLocking, RandomXorLocking, TTLockLocking]
+    )
+    def test_all_design_prediction_stays_in_the_family(
+        self, scheme, small_random_circuit
+    ):
+        # An all-DN prediction used to reach the Anti-SAT rectifier, whose
+        # AN labels are outside these families' class maps (KeyError: 'AN').
+        result = scheme(8).lock(small_random_circuit, rng=np.random.default_rng(0))
+        dataset = build_dataset(
+            [LockedInstance("small_rand", "test", result, key_size=8)]
+        )
+        predictions = np.full(dataset.labels.shape, dataset.class_map[DESIGN])
+        outcome = _attack_instance(
+            dataset,
+            _class_names_of(dataset),
+            0,
+            predictions,
+            verify_removal=True,
+            apply_postprocessing=True,
+        )
+        assert outcome.post_classes is not None
+        assert set(outcome.post_classes.tolist()) <= set(dataset.class_map.values())
+        assert not outcome.removal_success
+
+    def test_family_without_rectifier_passes_predictions_through(
+        self, small_random_circuit
+    ):
+        result = CyclicLocking(8).lock(
+            small_random_circuit, rng=np.random.default_rng(0)
+        )
+        predictions = {gate: DESIGN for gate in result.labels}
+        rectified = postprocess_predictions(
+            result.locked, predictions, {DESIGN: 0, CYCLE: 1}
+        )
+        assert rectified == predictions
 
 
 class TestRemoval:

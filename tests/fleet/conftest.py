@@ -1,7 +1,7 @@
 """Shared fixtures for the fleet tests.
 
 Mirrors the service suite's conventions (ephemeral ports, dataset-summary
-campaigns, serial ambient budget) and reuses its spec factories by putting
+campaigns) and reuses its spec factories by putting
 ``tests/service`` on ``sys.path``.
 """
 
@@ -13,14 +13,6 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "service"))
-
-from repro.parallel import INTRA_WORKERS_ENV  # noqa: E402
-
-
-@pytest.fixture(autouse=True)
-def _ambient_serial_budget(monkeypatch):
-    """Byte-identity comparisons require the default serial budget."""
-    monkeypatch.delenv(INTRA_WORKERS_ENV, raising=False)
 
 
 @pytest.fixture

@@ -122,6 +122,87 @@ class TestSampler:
             RandomWalkSampler(data)
 
 
+def _random_graph(n, seed, isolate_first=0, feature_dim=6):
+    """Random graph whose first ``isolate_first`` nodes have no edges."""
+    rng = np.random.default_rng(seed)
+    labels = np.array([0] * (n // 2) + [1] * (n - n // 2))
+    features = rng.normal(size=(n, feature_dim)) + labels[:, None] * 2.0
+    rows, cols = [], []
+    for i in range(isolate_first, n):
+        for _ in range(3):
+            j = int(rng.integers(isolate_first, n))
+            rows += [i, j]
+            cols += [j, i]
+    adj = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+    adj.data[:] = 1
+    split = rng.random(n)
+    return GraphData(
+        adjacency=adj,
+        features=features,
+        labels=labels,
+        train_mask=split < 0.6,
+        val_mask=(split >= 0.6) & (split < 0.8),
+        test_mask=split >= 0.8,
+    )
+
+
+def _reference_walk(adjacency, train_nodes, n_roots, walk_length, rng):
+    """The pre-vectorisation per-node loop that ``_walk_nodes`` replaced."""
+    n_roots = min(n_roots, train_nodes.size)
+    roots = rng.choice(train_nodes, size=n_roots, replace=True)
+    visited = set(int(r) for r in roots)
+    indptr, indices = adjacency.indptr, adjacency.indices
+    current = roots.copy()
+    for _ in range(walk_length):
+        next_nodes = []
+        for node in current:
+            start, end = indptr[node], indptr[node + 1]
+            if end > start:
+                nxt = int(indices[rng.integers(start, end)])
+            else:
+                nxt = int(node)
+            next_nodes.append(nxt)
+            visited.add(nxt)
+        current = np.array(next_nodes)
+    return np.array(sorted(visited))
+
+
+class TestRandomStreamStability:
+    """The vectorised walk consumes the reference loop's RNG stream exactly,
+    so training results -- and the golden tables -- never move."""
+
+    def test_vectorised_walk_matches_reference_loop(self):
+        data = _random_graph(300, seed=2, isolate_first=25)
+        sampler = RandomWalkSampler(
+            data, n_roots=80, walk_length=3, rng=np.random.default_rng(0)
+        )
+        rng_new = np.random.default_rng(1234)
+        rng_ref = np.random.default_rng(1234)
+        for _ in range(25):
+            sampler.rng = rng_new
+            got = sampler._walk_nodes()
+            want = _reference_walk(
+                sampler.adjacency, sampler.train_nodes, 80, 3, rng_ref
+            )
+            assert np.array_equal(got, want)
+            # identical draws => identical generator state going forward
+            assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+
+    def test_walk_keeps_integer_dtype_with_empty_neighbourhoods(self):
+        # Isolated training nodes exercise the dead-end branch that used to
+        # be able to produce float/object arrays via np.array(list-of-ints).
+        data = _random_graph(60, seed=4, isolate_first=60)  # no edges at all
+        sampler = RandomWalkSampler(
+            data, n_roots=10, walk_length=2, rng=np.random.default_rng(1)
+        )
+        nodes = sampler._walk_nodes()
+        assert nodes.dtype == np.int64
+        assert nodes.size > 0
+        batch = sampler.sample()
+        assert batch.node_indices.dtype == np.int64
+        assert batch.data.n_nodes == batch.node_indices.size
+
+
 class TestTrainer:
     def test_training_learns_two_clusters(self):
         data = _two_cluster_graph(300, seed=3)

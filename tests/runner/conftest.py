@@ -5,22 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import AttackConfig
-from repro.parallel import INTRA_WORKERS_ENV
 from repro.runner import CampaignSpec
-
-
-@pytest.fixture(autouse=True)
-def _ambient_serial_budget(monkeypatch):
-    """Pin the runner tests to the default (serial) intra-task budget.
-
-    Several tests here compare records across scheduling configurations
-    (serial vs process pool, cold vs warm cache); an ambient
-    ``REPRO_INTRA_WORKERS`` would give those configurations different
-    *shares* of the budget — and a share of 1 vs 2 legitimately selects
-    different (legacy vs pooled) RNG streams.  Pooled execution is covered
-    explicitly by ``TestIntraTaskParallelism`` and ``tests/parallel``.
-    """
-    monkeypatch.delenv(INTRA_WORKERS_ENV, raising=False)
 
 TINY_CONFIG = AttackConfig(locks_per_setting=1, iscas_key_sizes=(8,), seed=5).with_gnn(
     hidden_dim=16, epochs=10, root_nodes=200, eval_every=2, patience=10

@@ -100,6 +100,50 @@ class TestGridExpansion:
         assert task.dataset.locks_per_setting == 2
 
 
+class TestPinnedFingerprints:
+    """Task and model identities must never drift silently.
+
+    Stores resume and caches hit by these digests, so a change here orphans
+    every existing store record and cached model.  The values were computed
+    with the serial pipeline and stay fixed across refactors.
+    """
+
+    PINS = {
+        "gnnunlock": (
+            "bab341127bf271faf52b67a999aff0e60d63c1f4fb80b5e2008eaf36fb0ba56d",
+            "ceb8d798ab2c0d5d7f843b0080242148853a995bf8d11c44c71d5dd7edd0f349",
+        ),
+        "sat": (
+            "cfdf07e19e44e6bba348dd78c6112f7acc44b956d2e1355bf5ea49e95f23d52b",
+            "0a01d0231e6bdd3588dd328818f16a054496b6b6a851d709ff3df0fb4c11a09b",
+        ),
+        "dataset-summary": (
+            "5d93fa089363c81db625cbae6009aafe6e89d82244a4143e935ff58e845128ae",
+            "0a01d0231e6bdd3588dd328818f16a054496b6b6a851d709ff3df0fb4c11a09b",
+        ),
+    }
+
+    def test_task_and_model_fingerprints_are_pinned(self, tiny_config):
+        spec = CampaignSpec(
+            name="pins",
+            schemes=("antisat",),
+            benchmarks=("c2670", "c3540", "c5315"),
+            targets=("c2670",),
+            key_size_groups=((8,),),
+            attacks=tuple(self.PINS),
+            config=tiny_config,
+        )
+        tasks = spec.expand()
+        assert [t.attack for t in tasks] == list(self.PINS)
+        for task in tasks:
+            assert (task.fingerprint(), task.model_fingerprint()) == self.PINS[
+                task.attack
+            ], task.task_id
+
+    def test_derive_seed_is_pinned(self):
+        assert AttackConfig(seed=11).derive_seed("a", 1) == 10203279686820311211
+
+
 class TestPostprocessingAxis:
     def test_axis_doubles_gnnunlock_tasks(self, tiny_campaign):
         import dataclasses

@@ -487,97 +487,6 @@ class TestDatasetSummaryTasks:
         assert warm.cache_events == {"dataset": "hit"}
 
 
-class TestIntraTaskParallelism:
-    def test_pooled_task_records_match_serial_records(
-        self, tiny_campaign, tmp_path, monkeypatch
-    ):
-        """Thread- and process-backend intra pools agree with each other."""
-        task = tiny_campaign.expand()[0]
-        monkeypatch.delenv("REPRO_INTRA_BACKEND", raising=False)
-        thread_pool = execute_task(task, None, intra_workers=2)  # thread default
-        assert thread_pool.ok, thread_pool.error
-        assert thread_pool.record["intra_workers"] == 2
-        monkeypatch.setenv("REPRO_INTRA_BACKEND", "process")
-        process_pool = execute_task(task, None, intra_workers=2)
-        assert process_pool.ok, process_pool.error
-        assert _scrub(thread_pool.record) == _scrub(process_pool.record)
-
-    def test_pooled_and_legacy_models_never_share_a_cache_entry(
-        self, tiny_campaign, tmp_path
-    ):
-        """Legacy and pooled training streams are distinct artifacts."""
-        task = tiny_campaign.expand()[0]
-        assert task.model_fingerprint() != task.model_fingerprint(pooled=True)
-        cache_dir = str(tmp_path / "cache")
-        legacy = execute_task(task, cache_dir)
-        pooled = execute_task(task, cache_dir, intra_workers=2)
-        # The pooled run must not hit the legacy-trained model (and would
-        # otherwise silently report legacy numbers as pooled ones).
-        assert legacy.cache_events["model"] == "miss"
-        assert pooled.cache_events["model"] == "miss"
-        warm_legacy = execute_task(task, cache_dir)
-        warm_pooled = execute_task(task, cache_dir, intra_workers=2)
-        assert warm_legacy.cache_events["model"] == "hit"
-        assert warm_pooled.cache_events["model"] == "hit"
-        assert _scrub(warm_legacy.record) == _scrub(legacy.record)
-        assert _scrub(warm_pooled.record) == _scrub(pooled.record)
-
-    def test_legacy_records_have_no_intra_field(self, tiny_campaign):
-        result = execute_task(tiny_campaign.expand()[0], None)
-        assert result.ok
-        assert "intra_workers" not in result.record
-
-    def test_parallel_campaign_divides_the_budget(self, tiny_campaign, tmp_path):
-        """With W task workers, each task gets intra_workers // W (min 1)."""
-        tasks = tiny_campaign.expand()
-        results = run_campaign(
-            tasks, workers=2, cache_dir=tmp_path / "cache", intra_workers=2
-        )
-        assert all(r.ok for r in results)
-        # 2 // 2 == 1: the share is serial, so no pooled-mode marker.
-        assert all("intra_workers" not in r.record for r in results)
-
-    def test_serial_campaign_hands_each_task_the_full_budget(
-        self, tiny_campaign, tmp_path
-    ):
-        tasks = tiny_campaign.expand()[:1]
-        results = run_campaign(
-            tasks, serial=True, cache_dir=tmp_path / "cache", intra_workers=2
-        )
-        assert results[0].ok
-        assert results[0].record["intra_workers"] == 2
-
-    def test_resume_never_splices_legacy_and_pooled_streams(
-        self, tiny_campaign, tmp_path
-    ):
-        """Resuming with a different intra share re-executes, never skips."""
-        tasks = tiny_campaign.expand()
-        store = ResultStore(tmp_path / "r.jsonl")
-        run_campaign(tasks, serial=True, cache_dir=tmp_path / "cache", store=store)
-        # Same stream resumes cleanly...
-        same = run_campaign(
-            tasks, serial=True, cache_dir=tmp_path / "cache", store=store,
-            resume=True,
-        )
-        assert [r.status for r in same] == ["skipped", "skipped"]
-        # ...but a pooled resume must not accept legacy-stream records.
-        pooled = run_campaign(
-            tasks, serial=True, cache_dir=tmp_path / "cache", store=store,
-            resume=True, intra_workers=2,
-        )
-        assert [r.status for r in pooled] == ["ok", "ok"]
-        assert all(r.record["intra_workers"] == 2 for r in pooled)
-        # Both streams now coexist in the store under distinct fingerprints.
-        latest = store.latest()
-        assert len(latest) == 2 * len(tasks)
-        # And the pooled campaign resumes against its own records.
-        again = run_campaign(
-            tasks, serial=True, cache_dir=tmp_path / "cache", store=store,
-            resume=True, intra_workers=2,
-        )
-        assert [r.status for r in again] == ["skipped", "skipped"]
-
-
 class TestAutomaticCacheBudget:
     def test_campaign_runs_cache_gc_under_env_budget(
         self, tiny_campaign, tmp_path, monkeypatch

@@ -383,23 +383,6 @@ class TestCli:
         code = main(["run", "--no-cache", "--key-sizes", "600"])
         assert code == 1
 
-    def test_run_accepts_intra_workers(self, tmp_path, capsys):
-        args = [
-            "run", "--serial", "--intra-workers", "2",
-            "--benchmarks", "c2670", "c3540", "c5315",
-            "--targets", "c2670",
-            "--key-sizes", "8",
-            "--set", "gnn.epochs=2", "--set", "gnn.root_nodes=100",
-            "--store", str(tmp_path / "s.jsonl"),
-            "--cache-dir", str(tmp_path / "cache"),
-        ]
-        assert main(args) == 0
-        store = ResultStore(tmp_path / "s.jsonl")
-        records = store.load()
-        assert len(records) == 1
-        # A serial campaign hands the whole intra budget to the task.
-        assert records[0]["intra_workers"] == 2
-
     def test_run_resume_skips_completed_tasks(self, tmp_path, capsys):
         args = [
             "run", "--serial",

@@ -10,19 +10,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.parallel import INTRA_WORKERS_ENV
-
-
-@pytest.fixture(autouse=True)
-def _ambient_serial_budget(monkeypatch):
-    """Pin service tests to the default (serial) intra-task budget.
-
-    Job stores are compared byte-for-byte against offline runs; an ambient
-    ``REPRO_INTRA_WORKERS`` would put the two sides on different RNG
-    streams (see :mod:`repro.parallel`).
-    """
-    monkeypatch.delenv(INTRA_WORKERS_ENV, raising=False)
-
 
 @pytest.fixture
 def service_factory(tmp_path):
