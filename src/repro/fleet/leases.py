@@ -262,11 +262,15 @@ class LeaseTable:
             lease.state = "completed"
             return lease, False, True
         # Accept: pull the index out of whichever bucket holds it.
-        # After an expiry it may be pending again, or re-leased to
-        # another worker — pop the active slot regardless of holder,
-        # so the superseded lease can only come back as a duplicate.
+        # After an expiry or a release it may be pending again, or
+        # re-leased to another worker — pop the active slot regardless of
+        # holder and close the superseded lease with it, so it can neither
+        # be renewed, released nor expired into a re-queue; it can only
+        # come back as a duplicate.
         if index in entry.active:
-            del entry.active[index]
+            holder = self._leases.get(entry.active.pop(index))
+            if holder is not None:
+                holder.state = "completed"
         else:
             try:
                 entry.pending.remove(index)

@@ -81,3 +81,20 @@ class TestTtlockAttack:
         assert set(outcome.gnn_report.class_names) == {"DN", "RN", "PN"}
         assert outcome.attack_time_s > 0
         assert outcome.history.epochs_run > 0
+
+
+class TestReproducibility:
+    def test_repeated_attack_reports_the_same_outcome(self, antisat_attack):
+        # One serial pipeline on one identity-seeded RNG stream: attacking
+        # the same target twice trains the same model and removes the same
+        # gates.
+        from repro.runner.executor import outcome_record
+
+        records = []
+        for _ in range(2):
+            outcome = antisat_attack.attack("c2670", validation_benchmark="c5315")
+            record = outcome_record(outcome)
+            for volatile in ("train_time_s", "attack_time_s"):
+                record.pop(volatile)
+            records.append(record)
+        assert records[0] == records[1]

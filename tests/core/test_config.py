@@ -1,5 +1,7 @@
 """Unit tests for the attack-wide configuration object."""
 
+import pytest
+
 from repro.core import AttackConfig
 from repro.gnn import GnnConfig
 
@@ -67,3 +69,35 @@ class TestBenchmarkProfiles:
 
         profile = benchmark_profile("b14_C")
         assert profile.scaled(0.02)[2] <= profile.scaled(0.08)[2]
+
+
+class TestDeriveSeed:
+    """Identity-derived seeds: stable per identity, distinct across them."""
+
+    BASE = AttackConfig(seed=11).derive_seed("c2670", "antisat", 8)
+
+    def test_repeatable_and_64_bit(self):
+        seeds = {
+            AttackConfig(seed=11).derive_seed("c2670", "antisat", 8)
+            for _ in range(3)
+        }
+        assert seeds == {self.BASE}
+        assert 0 <= self.BASE < 2**64
+
+    @pytest.mark.parametrize(
+        "config, parts",
+        [
+            (AttackConfig(seed=12), ("c2670", "antisat", 8)),
+            (AttackConfig(seed=11), ("c3540", "antisat", 8)),
+            (AttackConfig(seed=11), ("antisat", "c2670", 8)),
+            (AttackConfig(seed=11), ("c2670", "antisat", 16)),
+            (AttackConfig(seed=11), ("c2670", "antisat", 8, 0)),
+        ],
+        ids=["base-seed", "part-value", "part-order", "key-size", "extra-part"],
+    )
+    def test_any_identity_change_moves_the_seed(self, config, parts):
+        assert config.derive_seed(*parts) != self.BASE
+
+    def test_only_the_base_seed_of_the_config_matters(self):
+        tweaked = AttackConfig(seed=11).with_gnn(hidden_dim=8, epochs=3)
+        assert tweaked.derive_seed("c2670", "antisat", 8) == self.BASE

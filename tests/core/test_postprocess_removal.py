@@ -27,9 +27,11 @@ from repro.locking import (
     DESIGN,
     PERTURB,
     RESTORE,
+    AntiSatLocking,
     CyclicLocking,
     RandomXorLocking,
     SarLockLocking,
+    SfllHdLocking,
     TTLockLocking,
 )
 from repro.sat import check_equivalence
@@ -175,6 +177,27 @@ class TestDispatchByFamily:
         assert outcome.post_classes is not None
         assert set(outcome.post_classes.tolist()) <= set(dataset.class_map.values())
         assert not outcome.removal_success
+
+    @pytest.mark.parametrize(
+        "scheme, classes",
+        [
+            (AntiSatLocking(8), ANTISAT_CLASSES),
+            (SfllHdLocking(8, h=2), SFLL_CLASSES),
+        ],
+        ids=["antisat", "sfll"],
+    )
+    def test_rectifier_labels_stay_in_the_class_map(
+        self, scheme, classes, small_random_circuit
+    ):
+        result = scheme.lock(small_random_circuit, rng=np.random.default_rng(0))
+        predictions = {gate: DESIGN for gate in result.labels}
+        rectified = postprocess_predictions(result.locked, predictions, classes)
+        assert set(rectified) == set(predictions)
+        assert set(rectified.values()) <= set(classes)
+
+    def test_class_map_is_required(self, antisat_locked):
+        with pytest.raises(TypeError):
+            postprocess_predictions(antisat_locked.locked, _truth(antisat_locked))
 
     def test_family_without_rectifier_passes_predictions_through(
         self, small_random_circuit

@@ -74,6 +74,22 @@ class TestFleetEndToEnd:
         assert 'repro_fleet_leases_total{event="completed"} 2' in metrics
         assert "repro_fleet_tasks_pending 0" in metrics
 
+    def test_wire_payloads_carry_no_worker_budget(self, fleet_service_factory):
+        # Drainers run every task on the serial pipeline: neither the lease
+        # nor the job spec hands them a worker share.
+        service = fleet_service_factory()
+        client = ServiceClient(service.url)
+        job = client.submit(summary_spec("fleet-wire"))["job"]
+        lease = _lease_with_retry(client, "w1")[0]
+        assert set(lease) == {
+            "lease_id", "job_id", "task_index", "fingerprint", "worker",
+            "renewals", "state", "ttl_s", "job_submitted_at",
+        }
+        payload = client.job_spec(job["job_id"])
+        assert set(payload) == {"job_id", "spec"}
+        assert payload["spec"]["name"] == "fleet-wire"
+        client.release_lease(lease["lease_id"], "w1")
+
     def test_two_drainers_split_the_job(self, tmp_path, fleet_service_factory):
         service = fleet_service_factory()
         client = ServiceClient(service.url)

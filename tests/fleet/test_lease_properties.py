@@ -15,7 +15,7 @@ from __future__ import annotations
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import HealthCheck, given, settings  # noqa: E402
+from hypothesis import HealthCheck, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from repro.fleet.leases import LeaseError, LeaseTable  # noqa: E402
@@ -109,7 +109,9 @@ class _Model:
             lease.state = "completed"
             return None, False, True
         if lease.index in self.active:
-            del self.active[lease.index]
+            # The superseded holder (possibly a re-lease of this index)
+            # closes with the task.
+            self.active.pop(lease.index).state = "completed"
         elif lease.index in self.pending:
             self.pending.remove(lease.index)
         self.done.add(lease.index)
@@ -124,6 +126,27 @@ class _Model:
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(ops=_ops)
+# A completion through a released lease while the task is re-leased must
+# close the new holder: it may not be released or reclaimed afterwards.
+@example(
+    ops=[
+        ("claim", "w0", 1),
+        ("release", 0, True),
+        ("claim", "w0", 1),
+        ("complete", 0, True),
+        ("release", 1, True),
+    ]
+)
+@example(
+    ops=[
+        ("claim", "w0", 1),
+        ("release", 0, True),
+        ("claim", "w0", 1),
+        ("complete", 0, True),
+        ("advance", 10.0, True),
+        ("reclaim", 0, True),
+    ]
+)
 def test_lease_partition_and_exactly_once_hold(ops):
     clock = _Clock()
     table = LeaseTable(default_ttl_s=TTL, clock=clock)

@@ -148,6 +148,45 @@ class TestComplete:
         # The re-queued slot is gone: nobody re-executes a done task.
         assert table.claim("w2")[0].task_index == 1
 
+    def test_completion_closes_superseding_lease(self, table):
+        # w1 releases, w2 re-leases the task, then w1's result lands
+        # first: w2's lease is closed with the task, not left dangling.
+        lease1 = table.claim("w1")[0]
+        table.release(lease1.lease_id, "w1")
+        lease2 = table.claim("w2")[0]
+        assert lease2.task_index == lease1.task_index
+        _, accepted, _ = table.complete(lease1.lease_id, "w1")
+        assert accepted
+        assert table.get(lease2.lease_id).state == "completed"
+        assert table.active_count() == 0
+        assert table.worker_active() == {}
+        for op in (table.renew, table.release):
+            with pytest.raises(LeaseError) as excinfo:
+                op(lease2.lease_id, "w2")
+            assert excinfo.value.code == "lease_expired"
+        _, accepted, duplicate = table.complete(lease2.lease_id, "w2")
+        assert not accepted and duplicate
+
+    def test_superseded_lease_never_expires_into_requeue(self, clock):
+        expired_batches = []
+        table = LeaseTable(
+            default_ttl_s=10.0, clock=clock, on_expire=expired_batches.append
+        )
+        table.register("job-a", [(0, "fp0")])
+        lease1 = table.claim("w1")[0]
+        clock.advance(10.1)
+        lease2 = table.claim("w2")[0]
+        _, accepted, _ = table.complete(lease1.lease_id, "w1")
+        assert accepted
+        clock.advance(10.1)
+        assert table.reclaim_expired() == []
+        assert [[x.lease_id for x in batch] for batch in expired_batches] == [
+            [lease1.lease_id]
+        ]
+        assert table.get(lease2.lease_id).state == "completed"
+        assert table.pending_count() == 0
+        assert table.outstanding("job-a") == 0
+
     def test_complete_checks_owner(self, table):
         lease = table.claim("w1")[0]
         with pytest.raises(LeaseError) as excinfo:

@@ -203,6 +203,67 @@ class TestRandomStreamStability:
         assert batch.data.n_nodes == batch.node_indices.size
 
 
+class TestSerialDeterminism:
+    """One RNG stream: the same generator seed gives the same run."""
+
+    def test_normalisation_counts_are_integral(self):
+        data = _two_cluster_graph(120, seed=5)
+        sampler = RandomWalkSampler(
+            data, n_roots=30, walk_length=2, rng=np.random.default_rng(3)
+        )
+        assert sampler._norm_samples == 20
+        counts = sampler._inclusion_counts
+        assert np.array_equal(counts, counts.astype(int))
+        assert counts.max() <= sampler._norm_samples
+        assert counts[data.train_mask].sum() > 0
+
+    def test_normalisation_follows_the_generator_seed(self):
+        data = _two_cluster_graph(200, seed=6)
+
+        def counts(seed):
+            return RandomWalkSampler(
+                data, n_roots=50, walk_length=2, rng=np.random.default_rng(seed)
+            )._inclusion_counts
+
+        assert np.array_equal(counts(11), counts(11))
+        assert not np.array_equal(counts(11), counts(12))
+
+    def test_training_history_is_reproducible(self):
+        data = _two_cluster_graph(240, seed=7)
+        config = GnnConfig(
+            n_features=6, n_classes=2, hidden_dim=12, epochs=20,
+            root_nodes=50, eval_every=5, seed=0,
+        )
+        runs = []
+        for _ in range(2):
+            model, history = train_node_classifier(
+                data, config, rng=np.random.default_rng(5)
+            )
+            runs.append(
+                (
+                    history.loss,
+                    history.val_accuracy,
+                    history.best_epoch,
+                    [w.tobytes() for w in model.get_weights()],
+                )
+            )
+        assert runs[0] == runs[1]
+        assert len(runs[0][0]) == 20
+
+    def test_sample_wait_is_accounted_inline(self):
+        data = _two_cluster_graph(240, seed=8)
+        config = GnnConfig(
+            n_features=6, n_classes=2, hidden_dim=12, epochs=15,
+            root_nodes=50, eval_every=5, seed=0,
+        )
+        _, history = train_node_classifier(
+            data, config, rng=np.random.default_rng(9)
+        )
+        # Batches are drawn inline, so the wait is sampling time itself:
+        # positive, and a part of the training time.
+        assert 0.0 < history.sample_wait_s <= history.train_time_s
+
+
 class TestTrainer:
     def test_training_learns_two_clusters(self):
         data = _two_cluster_graph(300, seed=3)
