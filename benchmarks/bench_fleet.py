@@ -44,7 +44,11 @@ sys.path.insert(0, str(SRC))
 
 from repro.core import AttackConfig  # noqa: E402
 from repro.runner import CampaignSpec, ResultStore, render_report, run_campaign  # noqa: E402
-from repro.service import CampaignService, ServiceClient  # noqa: E402
+from repro.service import (  # noqa: E402
+    TERMINAL_STATUSES,
+    CampaignService,
+    ServiceClient,
+)
 
 RESULT_PATH = ROOT / "BENCH_fleet.json"
 DRAINER_COUNTS = (1, 2, 4)
@@ -138,14 +142,18 @@ def run_fleet_phase(
 
         if kill_one:
             # SIGKILL the victim the moment it holds a lease: no heartbeat,
-            # no release — the coordinator must reclaim by TTL expiry.
+            # no release — the coordinator must reclaim by TTL expiry.  If
+            # the other drainer finishes the job first, the victim dies
+            # idle (reclaimed=0) instead of the phase waiting it out.
             deadline = time.monotonic() + WAIT_TIMEOUT_S
+            since = 0
             while time.monotonic() < deadline:
-                events = client.stream(job["job_id"], timeout=0.5)["events"]
-                if any(
+                chunk = client.stream(job["job_id"], since=since, timeout=0.5)
+                since = chunk["next"]
+                if chunk["job"]["status"] in TERMINAL_STATUSES or any(
                     event.get("event") == "lease_granted"
                     and event.get("worker") == victim_name
-                    for event in events
+                    for event in chunk["events"]
                 ):
                     break
             victim.send_signal(signal.SIGKILL)

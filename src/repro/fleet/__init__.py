@@ -1,9 +1,10 @@
 """Distributed worker fleet: task leases, drainers, and the object store.
 
-``repro serve --fleet`` swaps the in-process :class:`JobWorker` for a
-:class:`FleetCoordinator` that exposes each job's tasks as time-bounded
-leases over HTTP; any number of ``repro work`` drainer processes — on the
-same host or others — claim, execute and complete them.  See
+``repro serve --fleet`` keeps running jobs through ``JobWorker`` and
+``run_campaign`` but gives the runner a :class:`FleetCoordinator` lease
+executor as its task backend: each task becomes a time-bounded lease over
+HTTP, and any number of ``repro work`` drainer processes — on the same host
+or others — claim, execute and complete them.  See
 :mod:`repro.fleet.leases` for the exactly-once bookkeeping and
 :mod:`repro.fleet.artifacts` for the write-through artifact tier.
 

@@ -121,13 +121,20 @@ class LeaseTable:
     # ------------------------------------------------------------------
     # Job lifecycle
     def register(self, job_id: str, tasks: Sequence[Tuple[int, str]]) -> None:
-        """Register ``(task_index, fingerprint)`` pairs as claimable work."""
+        """Register ``(task_index, fingerprint)`` pairs as claimable work.
+
+        Registering an already-registered job adds the new indices to the
+        back of its pending queue (a job's tasks may arrive one by one); an
+        index that is already registered is refused.
+        """
+        added = {int(i): fp for i, fp in tasks}
         with self._lock:
-            if job_id in self._jobs:
-                raise ValueError(f"job {job_id} already registered")
-            entry = _JobTasks(fingerprints={int(i): fp for i, fp in tasks})
-            entry.pending.extend(sorted(entry.fingerprints))
-            self._jobs[job_id] = entry
+            entry = self._jobs.setdefault(job_id, _JobTasks(fingerprints={}))
+            clash = sorted(entry.fingerprints.keys() & added.keys())
+            if clash:
+                raise ValueError(f"job {job_id} already has task(s) {clash}")
+            entry.fingerprints.update(added)
+            entry.pending.extend(sorted(added))
 
     def unregister(self, job_id: str) -> None:
         """Drop a finished job's partition and all its lease tombstones."""

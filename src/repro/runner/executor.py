@@ -23,7 +23,11 @@ from __future__ import annotations
 import os
 import time
 import traceback as traceback_module
-from concurrent.futures import ProcessPoolExecutor, TimeoutError as FutureTimeout
+from concurrent.futures import (
+    Executor,
+    ProcessPoolExecutor,
+    TimeoutError as FutureTimeout,
+)
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from importlib import import_module
@@ -55,7 +59,6 @@ from .campaign import BASELINE_ATTACKS, AttackTask
 
 __all__ = [
     "TaskResult",
-    "append_result",
     "campaign_cache_stats",
     "execute_task",
     "outcome_record",
@@ -435,6 +438,7 @@ def run_campaign(
     echo: Optional[Callable[[str], None]] = None,
     on_result: Optional[Callable[[int, int, TaskResult], None]] = None,
     cancel: Optional[Callable[[], bool]] = None,
+    executor: Optional[Executor] = None,
 ) -> List[TaskResult]:
     """Run a campaign and return one :class:`TaskResult` per task, in order.
 
@@ -486,6 +490,13 @@ def run_campaign(
     task: like the wall-clock budget, cancellation is honoured between
     tasks.  Cancelled tasks append a ``cancelled`` record to the store;
     resume treats them like failures and re-executes them.
+
+    ``executor`` replaces the per-campaign process pool with a caller-built
+    :class:`~concurrent.futures.Executor` (the fleet's lease executor, see
+    :meth:`repro.fleet.FleetCoordinator.executor_for`).  Every pending task
+    is submitted to it, even a lone one, and the campaign shuts it down when
+    done; ``workers`` and ``serial`` are then ignored.  Waiting, budgets,
+    cancellation, ordering and resume are unchanged.
     """
     echo = echo if echo is not None else (lambda message: None)
     cache_path = str(cache_dir if cache_dir is not None else default_cache_dir())
@@ -521,6 +532,7 @@ def run_campaign(
         echo=echo,
         cancel=cancel,
         obs_dir=obs_dir,
+        executor=executor,
     )
     results: List[TaskResult] = []
     try:
@@ -613,8 +625,9 @@ def _run_pending(
     echo: Callable[[str], None],
     cancel: Optional[Callable[[], bool]] = None,
     obs_dir: Optional[str] = None,
+    executor: Optional[Executor] = None,
 ) -> Iterator[TaskResult]:
-    """Execute tasks (serially or over a process pool), yielding in task order.
+    """Execute tasks (serially or over a pool), yielding in task order.
 
     A generator so :func:`run_campaign` can stream each result to its
     progress hook as it lands instead of after the whole campaign.
@@ -639,7 +652,7 @@ def _run_pending(
             error=error,
         )
 
-    if serial or workers == 1 or len(tasks) <= 1:
+    if executor is None and (serial or workers == 1 or len(tasks) <= 1):
         for index, task in enumerate(tasks):
             elapsed = time.perf_counter() - submitted
             if cancelled():
@@ -660,8 +673,11 @@ def _run_pending(
             yield result
         return
 
-    workers = workers or min(len(tasks), os.cpu_count() or 2)
-    pool = ProcessPoolExecutor(max_workers=workers)
+    if executor is not None:
+        pool = executor
+    else:
+        workers = workers or min(len(tasks), os.cpu_count() or 2)
+        pool = ProcessPoolExecutor(max_workers=workers)
     abandoned_worker = False
     produced = 0
     try:
@@ -776,12 +792,3 @@ def _append(store, task: AttackTask, result: TaskResult) -> None:
         record["error"] = result.error
     store.append(record)
 
-
-def append_result(store, task: AttackTask, result: TaskResult) -> None:
-    """Append one finished task's record to ``store``.
-
-    Public seam for out-of-band executors (the fleet coordinator) that
-    must write records with exactly the shape ``run_campaign`` writes —
-    the report renderer's byte-identity guarantee depends on it.
-    """
-    _append(store, task, result)

@@ -20,9 +20,10 @@ into an on-demand one:
   typed errors (:class:`AuthError`, :class:`ThrottledError`, ...) and
   opt-in transient-failure retries for the fleet worker loop.
 
-Scaling out: ``repro serve --fleet`` swaps the in-process worker for the
-:mod:`repro.fleet` coordinator, whose task leases and artifact object
-store let N ``repro work`` drainer processes share the queue.
+Scaling out: ``repro serve --fleet`` keeps the one job path (``JobWorker``
+→ ``run_campaign``) and swaps only its task backend: the :mod:`repro.fleet`
+coordinator turns each submitted task into a lease, and its artifact object
+store lets N ``repro work`` drainer processes share the work.
 
 Restart safety: job state persists under the service's state directory and
 every job's results live in its own JSONL store, so a killed service picks

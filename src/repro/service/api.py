@@ -67,6 +67,9 @@ tokens file, every ``/v1`` request needs ``Authorization: Bearer <token>``;
 The server is a ``ThreadingHTTPServer`` so status polls and long-poll
 streams are served while jobs run; campaign execution itself happens on the
 :class:`~repro.service.worker.JobWorker` threads, never on request threads.
+Fleet mode keeps that one job path and changes only the task backend: the
+:class:`~repro.fleet.FleetCoordinator` turns each task ``run_campaign``
+submits into a lease that drainers claim through ``/v1/tasks``.
 """
 
 from __future__ import annotations
@@ -985,46 +988,39 @@ class CampaignService:
             min_superseded=warehouse_compact_min_superseded,
         )
         resolved_cache_dir = cache_dir if cache_dir is not None else default_cache_dir()
-        #: Backing store of the /v1/artifacts object-store endpoints (and,
-        #: in fleet mode, of the coordinator's between-job gc).
+        #: Backing store of the /v1/artifacts object-store endpoints.
         self.artifact_cache = ArtifactCache(
             resolved_cache_dir if use_cache else None
         )
         self.artifact_max_bytes = parse_size(
             os.environ.get(ARTIFACT_MAX_BYTES_ENV) or str(DEFAULT_ARTIFACT_MAX_BYTES)
         )
+        #: The lease broker behind ``/v1/tasks`` in fleet mode, else None.
+        self.fleet = None
         if fleet:
             # Imported lazily: the coordinator pulls in the runner stack,
             # and repro.fleet's heavy modules import this module back.
             from ..fleet.coordinator import FleetCoordinator
 
-            self.worker = FleetCoordinator(
+            self.fleet = FleetCoordinator(
                 self.queue,
                 lease_ttl_s=lease_ttl_s,
-                max_active_jobs=job_slots,
-                cache_dir=resolved_cache_dir,
-                use_cache=use_cache,
-                cache_max_bytes=cache_max_bytes,
-                cache_max_age_s=cache_max_age_s,
                 echo=self.echo,
                 metrics=self.metrics,
-                on_job_finished=self._ingest_finished_job,
             )
-            self.fleet = self.worker
-        else:
-            self.worker = JobWorker(
-                self.queue,
-                job_slots=job_slots,
-                task_workers=task_workers,
-                cache_dir=resolved_cache_dir,
-                use_cache=use_cache,
-                cache_max_bytes=cache_max_bytes,
-                cache_max_age_s=cache_max_age_s,
-                echo=self.echo,
-                metrics=self.metrics,
-                on_job_finished=self._ingest_finished_job,
-            )
-            self.fleet = None
+        self.worker = JobWorker(
+            self.queue,
+            job_slots=job_slots,
+            task_workers=task_workers,
+            cache_dir=resolved_cache_dir,
+            use_cache=use_cache,
+            cache_max_bytes=cache_max_bytes,
+            cache_max_age_s=cache_max_age_s,
+            echo=self.echo,
+            metrics=self.metrics,
+            on_job_finished=self._ingest_finished_job,
+            executor_for=None if self.fleet is None else self.fleet.executor_for,
+        )
         self._httpd: Optional[_ServiceServer] = None
         self._http_thread: Optional[threading.Thread] = None
 
@@ -1139,9 +1135,11 @@ class CampaignService:
         )
         # Worker utilisation: busy is maintained live by the worker loop
         # (the +0 materialises the series so an idle service scrapes 0).
+        # Fleet mode executes nothing in-process, so it has no task slots.
         self.metrics.add_gauge("repro_service_workers_busy", 0.0)
         self.metrics.set_gauge(
-            "repro_service_worker_slots", float(self.worker.job_slots)
+            "repro_service_worker_slots",
+            0.0 if self.fleet is not None else float(self.worker.job_slots),
         )
         if self.fleet is not None:
             gauges = self.fleet.fleet_gauges()
@@ -1179,6 +1177,8 @@ class CampaignService:
     def start(self) -> "CampaignService":
         if self._httpd is not None:
             return self
+        if self.fleet is not None:
+            self.fleet.start()
         self.worker.start()
         self._compactor.start()
         self._httpd = _ServiceServer(
@@ -1213,6 +1213,10 @@ class CampaignService:
             self._http_thread.join(timeout)
             self._http_thread = None
         self._compactor.stop()
+        if self.fleet is not None:
+            # First: with the API down no drainer can complete a task, so
+            # the fleet hands its live jobs back for recovery.
+            self.fleet.stop(timeout)
         self.worker.stop(timeout)
         self.warehouse.flush()
 

@@ -7,6 +7,15 @@ never finished.  The task-process count per job defaults to
 ``cpu_count // job_slots``, so two concurrent jobs on an 8-core box get 4
 processes each instead of oversubscribing the machine.
 
+In fleet mode ``executor_for`` (the coordinator's
+:meth:`~repro.fleet.FleetCoordinator.executor_for`) supplies each job's task
+backend instead: the same runner waits on lease-backed futures that remote
+``repro work`` drainers resolve, and ``job_slots`` bounds how many jobs the
+fleet sees at once.  When the service stops, the fleet fails the futures of
+its live jobs with :class:`JobInterrupted`; the slot hands its job back
+unfinished (still ``running``, so the next start recovers and resumes it)
+and exits, since nothing can complete a fleet task once the API is down.
+
 Between jobs the worker garbage-collects the artifact cache under the
 service's ``cache_max_bytes`` / ``cache_max_age_s`` budget (on top of the
 ``REPRO_CACHE_MAX_BYTES`` env budget that ``run_campaign`` already honours),
@@ -17,6 +26,7 @@ from __future__ import annotations
 
 import os
 import threading
+from concurrent.futures import Executor
 from typing import Callable, List, Optional
 
 from ..obs import MetricsRegistry, emit, emit_span, tag_context
@@ -25,7 +35,16 @@ from ..runner.executor import run_campaign
 from ..runner.store import ResultStore
 from .jobs import Job, JobQueue
 
-__all__ = ["JobWorker"]
+__all__ = ["JobInterrupted", "JobWorker"]
+
+
+class JobInterrupted(BaseException):
+    """Raised by a task backend's futures when the backend stops.
+
+    A ``BaseException`` so that ``run_campaign`` records nothing for the
+    unfinished tasks (it folds ordinary exceptions into ``failed`` results)
+    and the job is left for recovery.
+    """
 
 
 class JobWorker:
@@ -44,8 +63,11 @@ class JobWorker:
         echo: Optional[Callable[[str], None]] = None,
         metrics: Optional[MetricsRegistry] = None,
         on_job_finished: Optional[Callable[[Job], None]] = None,
+        executor_for: Optional[Callable[[Job], Executor]] = None,
     ):
         self.queue = queue
+        #: Builds a job's task backend; None runs tasks in-process.
+        self.executor_for = executor_for
         #: Fired after a job reaches a terminal status with records on disk
         #: (the service hangs its warehouse ingest here).  Exceptions are
         #: swallowed: post-processing must never change a job's outcome.
@@ -103,6 +125,12 @@ class JobWorker:
                 self.metrics.add_gauge("repro_service_workers_busy", 1.0)
                 try:
                     self.run_job(job)
+                except JobInterrupted:
+                    self._log(
+                        f"job {job.job_id}: interrupted; left for recovery",
+                        job=job,
+                    )
+                    return
                 finally:
                     self.metrics.add_gauge("repro_service_workers_busy", -1.0)
                 # After the busy window: the job already has its terminal
@@ -121,7 +149,10 @@ class JobWorker:
 
     # ------------------------------------------------------------------
     def run_job(self, job: Job) -> None:
-        """Execute one claimed job to a terminal status.  Never raises."""
+        """Execute one claimed job to a terminal status.
+
+        Raises only :class:`JobInterrupted`, leaving the job unfinished.
+        """
         self._log(
             f"job {job.job_id} ({job.spec.name}): starting",
             job=job,
@@ -167,6 +198,9 @@ class JobWorker:
                     # clients can render "k/n" progress without re-deriving it.
                     on_result=lambda index, total, result: self.queue.record_progress(
                         job, result, index=index, total=total
+                    ),
+                    executor=(
+                        None if self.executor_for is None else self.executor_for(job)
                     ),
                 )
         except Exception as exc:  # noqa: BLE001 - job isolation is the contract

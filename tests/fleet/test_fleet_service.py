@@ -3,6 +3,7 @@ reclaim, artifact integrity, and worker-role enforcement."""
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import threading
@@ -15,8 +16,9 @@ import pytest
 from service_helpers import summary_spec
 
 from repro.fleet import FleetWorker
-from repro.runner import ResultStore, render_report, run_campaign
-from repro.service import AuthError, ServiceClient, ServiceError
+from repro.fleet.wire import result_to_wire
+from repro.runner import ResultStore, TaskResult, render_report, run_campaign
+from repro.service import AuthError, JobQueue, ServiceClient, ServiceError
 
 
 def _start_worker(service, name, tmp_path, **kwargs):
@@ -157,6 +159,109 @@ class TestFleetEndToEnd:
         assert "lease_granted" in kinds
         granted = [e for e in events if e["event"] == "lease_granted"]
         assert all(e["worker"] == "w1" for e in granted)
+
+
+class TestFleetJobLifecycle:
+    """Budgets, resume and cancellation are run_campaign's, in fleet mode too."""
+
+    def test_budget_fails_a_job_no_drainer_picks_up(self, fleet_service_factory):
+        service = fleet_service_factory()
+        client = ServiceClient(service.url)
+        spec = dataclasses.replace(summary_spec("fleet-budget"), timeout_s=0.5)
+        job = client.submit(spec)["job"]
+        final = client.wait(job["job_id"], timeout=10)
+        assert final["status"] == "failed"
+        records = client.records(job["job_id"])
+        assert [record["status"] for record in records] == ["timeout", "timeout"]
+        assert all(
+            "budget of 0.5s exhausted before the task started" in record["error"]
+            for record in records
+        )
+
+    def test_recovered_job_leases_only_unfinished_tasks(
+        self, tmp_path, fleet_service_factory
+    ):
+        spec = summary_spec("fleet-resume")
+        tasks = spec.expand()
+        straight_store = ResultStore(tmp_path / "straight.jsonl")
+        run_campaign(
+            tasks,
+            serial=True,
+            cache_dir=tmp_path / "straight-cache",
+            store=straight_store,
+        )
+        straight = render_report(list(straight_store.latest().values()))
+
+        # A service that died mid-job: persisted as running, task 0 stored.
+        queue = JobQueue(tmp_path / "state")
+        job, _ = queue.submit(spec)
+        queue.claim(timeout=0)
+        ResultStore(job.store_path).append(straight_store.load()[0])
+        del queue
+
+        service = fleet_service_factory("state")
+        assert service.recovered == [job.job_id]
+        client = ServiceClient(service.url)
+        worker, thread = _start_worker(service, "w1", tmp_path)
+        try:
+            final = client.wait(job.job_id, timeout=180)
+        finally:
+            worker.stop()
+            thread.join(timeout=30)
+        assert final["status"] == "done"
+        assert final["progress"]["tasks_skipped"] == 1
+        assert worker.tasks_executed == 1
+        events = client.stream(job.job_id, timeout=0.0)["events"]
+        granted = [e["index"] for e in events if e["event"] == "lease_granted"]
+        assert granted == [1]
+        assert client.report(job.job_id) == straight
+
+    def test_cancel_abandons_an_in_flight_lease(self, fleet_service_factory):
+        service = fleet_service_factory(lease_ttl_s=60.0)
+        client = ServiceClient(service.url)
+        job = client.submit(summary_spec("fleet-cancel"))["job"]
+        zombie = _lease_with_retry(client, "zombie", limit=1)[0]
+
+        started = time.monotonic()
+        client.cancel(job["job_id"])
+        final = client.wait(job["job_id"], timeout=10)
+        assert final["status"] == "cancelled"
+        assert time.monotonic() - started < 10  # far inside the 60 s TTL
+
+        late = TaskResult(
+            task_id="late", fingerprint=zombie["fingerprint"], status="ok"
+        )
+        with pytest.raises(ServiceError):
+            client.complete_task(zombie["lease_id"], "zombie", result_to_wire(late))
+        records = ResultStore(service.queue.get(job["job_id"]).store_path).load()
+        assert len(records) == 2
+        assert len({record["task_id"] for record in records}) == 2
+        assert {record["status"] for record in records} == {"cancelled"}
+
+    def test_stop_hands_a_live_job_back_for_recovery(
+        self, tmp_path, fleet_service_factory
+    ):
+        service = fleet_service_factory("state")
+        client = ServiceClient(service.url)
+        job = client.submit(summary_spec("fleet-stop"))["job"]
+        _lease_with_retry(client, "zombie", limit=1)
+        started = time.monotonic()
+        service.stop()
+        assert time.monotonic() - started < 5  # no drainer can finish it now
+        assert service.queue.get(job["job_id"]).status == "running"
+        assert ResultStore(service.queue.get(job["job_id"]).store_path).load() == []
+
+        revived = fleet_service_factory("state")
+        assert revived.recovered == [job["job_id"]]
+        client = ServiceClient(revived.url)
+        worker, thread = _start_worker(revived, "w1", tmp_path)
+        try:
+            final = client.wait(job["job_id"], timeout=180)
+        finally:
+            worker.stop()
+            thread.join(timeout=30)
+        assert final["status"] == "done"
+        assert worker.tasks_executed == 2
 
 
 class TestArtifactStore:

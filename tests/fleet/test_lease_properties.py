@@ -4,8 +4,10 @@ interleavings keep :class:`LeaseTable` bookkeeping consistent.
 The model mirrors the documented semantics — every task index in exactly
 one of {pending, active, done}, lazy expiry swept on each mutating call,
 first-wins completion (accepted even from an expired lease when the task
-is still open), reclaimed tasks re-queued at the *front* — and the
-properties assert the real table never disagrees with it.
+is still open), reclaimed tasks re-queued at the *front*, tasks registered
+one batch at a time joining the *back* of the queue (a batch that repeats a
+registered index is refused whole) — and the properties assert the real
+table never disagrees with it.
 
 Mirrors the structure of ``tests/service/test_queue_properties.py``.
 """
@@ -21,6 +23,8 @@ from hypothesis import strategies as st  # noqa: E402
 from repro.fleet.leases import LeaseError, LeaseTable  # noqa: E402
 
 N_TASKS = 5
+#: Indices N_TASKS..MAX_TASKS-1 arrive later through ``register`` ops.
+MAX_TASKS = 8
 TTL = 10.0
 WORKERS = ["w0", "w1", "w2"]
 
@@ -38,6 +42,7 @@ _ops = st.lists(
             st.just(True),
         ),
         st.tuples(st.just("reclaim"), st.just(0), st.just(True)),
+        st.tuples(st.just("register"), st.integers(1, 2), st.booleans()),
     ),
     max_size=40,
 )
@@ -64,6 +69,7 @@ class _Model:
     """Reference bookkeeping with the same lazy-expiry discipline."""
 
     def __init__(self):
+        self.registered = list(range(N_TASKS))
         self.pending = list(range(N_TASKS))
         self.active = {}  # task index -> _ModelLease
         self.done = set()
@@ -79,6 +85,11 @@ class _Model:
                     del self.active[lease.index]
                     if lease.index not in self.done:
                         self.pending.insert(0, lease.index)
+
+    def register(self, indices):
+        """Mirror ``register``: new indices join the back of the queue."""
+        self.registered.extend(indices)
+        self.pending.extend(indices)
 
     def claim(self, now, worker, limit):
         self.sweep(now)
@@ -147,6 +158,17 @@ class _Model:
         ("reclaim", 0, True),
     ]
 )
+# A late batch queues behind a reclaimed task; a batch repeating an
+# index changes nothing.
+@example(
+    ops=[
+        ("claim", "w0", 2),
+        ("advance", 10.0, True),
+        ("register", 2, False),
+        ("register", 1, True),
+        ("claim", "w1", 8),
+    ]
+)
 def test_lease_partition_and_exactly_once_hold(ops):
     clock = _Clock()
     table = LeaseTable(default_ttl_s=TTL, clock=clock)
@@ -205,17 +227,28 @@ def test_lease_partition_and_exactly_once_hold(ops):
             model.sweep(clock.now)
             reclaimed = before - set(model.active)
             assert {lease.task_index for lease in expired} == reclaimed
+        elif op == "register":
+            start = len(model.registered)
+            fresh = list(range(start, min(start + a, MAX_TASKS)))
+            if b:
+                # Repeat an already-registered index: the batch is refused.
+                with pytest.raises(ValueError):
+                    table.register("job", [(i, f"fp{i}") for i in fresh + [0]])
+            else:
+                table.register("job", [(i, f"fp{i}") for i in fresh])
+                model.register(fresh)
 
         # Global invariants after every operation.  The table sweeps
         # lazily, so compare against the model's equally-lazy view.
         assert table.pending_count() == len(model.pending)
         assert table.active_count() == len(model.active)
+        total = len(model.registered)
         indices = (
             set(model.pending) | set(model.active) | model.done
         )
-        assert indices == set(range(N_TASKS))
-        assert len(model.pending) + len(model.active) + len(model.done) == N_TASKS
-        assert table.outstanding("job") == N_TASKS - len(model.done)
+        assert indices == set(model.registered)
+        assert len(model.pending) + len(model.active) + len(model.done) == total
+        assert table.outstanding("job") == total - len(model.done)
         assert model.accepted == model.done - (model.done - model.accepted)
 
     # Drain: expire stragglers, claim and complete everything left —

@@ -206,6 +206,19 @@ class TestJobLifecycle:
         assert accepted
         assert table.outstanding("job-a") == 0
 
+    def test_register_adds_tasks_to_the_back_of_a_live_job(self, table):
+        table.claim("w1")
+        table.register("job-a", [(4, "fp4"), (3, "fp3")])
+        leases = table.claim("w1", limit=10)
+        assert [lease.task_index for lease in leases] == [1, 2, 3, 4]
+        assert leases[-1].fingerprint == "fp4"
+
+    def test_register_refuses_a_known_index_whole(self, table):
+        with pytest.raises(ValueError):
+            table.register("job-a", [(3, "fp3"), (1, "again")])
+        assert table.pending_count() == 3
+        assert table.outstanding("job-a") == 3
+
     def test_unregister_drops_tombstones(self, table):
         lease = table.claim("w1")[0]
         table.complete(lease.lease_id, "w1")

@@ -395,6 +395,36 @@ class TestPoolShutdown:
         assert calls == [{"wait": True, "cancel_futures": False}]
 
 
+class TestCallerExecutor:
+    def test_every_task_goes_to_the_given_executor(self, tiny_campaign, tmp_path):
+        """A caller's executor replaces the pool and the serial shortcut
+        alike, even for a lone task, and the campaign shuts it down."""
+        from concurrent.futures import ThreadPoolExecutor
+
+        submitted, shutdowns = [], []
+
+        class SpyExecutor(ThreadPoolExecutor):
+            def submit(self, fn, /, *args, **kwargs):
+                submitted.append(args[0].task_id)
+                return super().submit(fn, *args, **kwargs)
+
+            def shutdown(self, wait=True, *, cancel_futures=False):
+                shutdowns.append(wait)
+                return super().shutdown(wait=wait, cancel_futures=cancel_futures)
+
+        task = tiny_campaign.expand()[0]
+        serial = run_campaign([task], serial=True, cache_dir=tmp_path / "cache")
+        spied = run_campaign(
+            [task],
+            serial=True,
+            cache_dir=tmp_path / "cache",
+            executor=SpyExecutor(max_workers=1),
+        )
+        assert submitted == [task.task_id]
+        assert shutdowns == [True]
+        assert _scrub(spied[0].record) == _scrub(serial[0].record)
+
+
 class TestProgressHookFailure:
     def test_raising_hook_aborts_the_campaign_promptly(
         self, tiny_campaign, tmp_path
