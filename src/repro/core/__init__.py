@@ -6,7 +6,6 @@ from .features import extract_features, feature_names
 from .labeling import (
     ANTISAT_CLASSES,
     SFLL_CLASSES,
-    class_map_for_scheme,
     classes_to_labels,
     labels_to_classes,
 )
@@ -15,8 +14,6 @@ from .splits import SplitMasks, leave_one_design_out
 from .generation import (
     generate_dataset,
     generate_instances,
-    make_scheme,
-    required_key_inputs,
     suite_benchmarks,
     suite_key_sizes,
 )
@@ -41,7 +38,6 @@ __all__ = [
     "feature_names",
     "ANTISAT_CLASSES",
     "SFLL_CLASSES",
-    "class_map_for_scheme",
     "classes_to_labels",
     "labels_to_classes",
     "LockedInstance",
@@ -51,8 +47,6 @@ __all__ = [
     "leave_one_design_out",
     "generate_dataset",
     "generate_instances",
-    "make_scheme",
-    "required_key_inputs",
     "suite_benchmarks",
     "suite_key_sizes",
     "ClassificationReport",

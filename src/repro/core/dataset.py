@@ -16,10 +16,11 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..gnn.data import GraphData
+from ..locking import SCHEMES
 from ..locking.base import LockingResult
 from .features import extract_features
 from .graph import CircuitGraph, block_diagonal, circuit_to_graph
-from .labeling import class_map_for_scheme, labels_to_classes
+from .labeling import labels_to_classes
 
 __all__ = ["LockedInstance", "NodeDataset", "build_dataset"]
 
@@ -122,9 +123,9 @@ def build_dataset(instances: Sequence[LockedInstance]) -> NodeDataset:
     """
     if not instances:
         raise ValueError("cannot build a dataset from zero instances")
-    class_map = class_map_for_scheme(instances[0].result.scheme)
+    class_map = dict(SCHEMES.get(instances[0].result.scheme).class_map)
     for inst in instances:
-        if class_map_for_scheme(inst.result.scheme) != class_map:
+        if SCHEMES.get(inst.result.scheme).class_map != class_map:
             raise ValueError(
                 "all instances in a dataset must share the same classification "
                 f"task; got {inst.result.scheme} vs {instances[0].result.scheme}"

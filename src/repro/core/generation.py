@@ -15,38 +15,18 @@ import numpy as np
 
 from ..benchgen.profiles import ALL_PROFILES
 from ..benchgen.registry import get_benchmark
-from ..locking import SCHEMES, find_scheme
-from ..locking.base import LockingError, LockingScheme
+from ..locking import SCHEMES
+from ..locking.base import LockingError
 from ..synth.flow import SynthesisOptions, synthesize_locked
 from .config import AttackConfig
 from .dataset import LockedInstance, NodeDataset, build_dataset
 
 __all__ = [
-    "make_scheme",
     "generate_instances",
     "generate_dataset",
-    "required_key_inputs",
     "suite_benchmarks",
     "suite_key_sizes",
 ]
-
-
-def make_scheme(scheme: str, key_size: int, h: Optional[int] = None) -> LockingScheme:
-    """Instantiate a locking scheme by registered name (registry-backed shim).
-
-    Kept for backwards compatibility; new code should call
-    ``SCHEMES.create(name, **params)`` directly.  As in the legacy factory, a
-    supplied ``h`` is silently ignored by schemes that do not take one.
-    """
-    info = SCHEMES.get(scheme)
-    params: dict = {"key_size": key_size}
-    if info.uses_h:
-        if h is None:
-            raise ValueError(
-                f"{info.display_name} requires the Hamming distance h"
-            )
-        params["h"] = h
-    return info.create(**params)
 
 
 def suite_benchmarks(suite: str) -> List[str]:
@@ -68,18 +48,6 @@ def suite_key_sizes(suite: str, config: AttackConfig) -> Sequence[int]:
     )
 
 
-def required_key_inputs(scheme: str, key_size: int) -> int:
-    """Primary-input count a benchmark needs to be lockable at ``key_size``.
-
-    Registry-backed shim; unknown scheme names fall back to ``key_size``
-    (the legacy behaviour — this helper never raised).
-    """
-    info = find_scheme(scheme)
-    if info is None:
-        return key_size
-    return info.required_inputs(key_size)
-
-
 def generate_instances(
     scheme: str,
     benchmarks: Iterable[str],
@@ -96,22 +64,24 @@ def generate_instances(
     with K = 64 "due to the limited number of PIs in the design".
     """
     technology = technology if technology is not None else config.technology
-    scheme_info = find_scheme(scheme)
+    info = SCHEMES.get(scheme)
+    # A sweep-level h only reaches schemes that take one (SFLL-HD).
+    params = {"h": h} if info.uses_h and h is not None else {}
     # Legacy datasets record h = None for schemes that ignore the sweep-level
     # h (Anti-SAT); the registry flag keeps those fingerprints byte-identical.
-    strip_h = scheme_info is not None and scheme_info.strip_instance_h
+    strip_h = info.strip_instance_h
     instances: List[LockedInstance] = []
     for bench_name in benchmarks:
         profile = ALL_PROFILES[bench_name]
         circuit = get_benchmark(bench_name, size_scale=config.size_scale)
         for key_size in key_sizes:
-            if len(circuit.inputs) < required_key_inputs(scheme, key_size):
+            if len(circuit.inputs) < info.required_inputs(key_size):
                 continue
             for copy_index in range(config.locks_per_setting):
                 rng = np.random.default_rng(
                     config.derive_seed(scheme, bench_name, key_size, h, copy_index)
                 )
-                locker = make_scheme(scheme, key_size, h)
+                locker = info.create(key_size=key_size, **params)
                 result = locker.lock(circuit.copy(), rng=rng)
                 if technology.upper() != "BENCH8":
                     result = synthesize_locked(

@@ -10,14 +10,12 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
-from ..locking import find_scheme
 from ..locking.base import ANTISAT, DESIGN, PERTURB, RESTORE, LockingResult
 from .graph import CircuitGraph
 
 __all__ = [
     "ANTISAT_CLASSES",
     "SFLL_CLASSES",
-    "class_map_for_scheme",
     "labels_to_classes",
     "classes_to_labels",
 ]
@@ -28,23 +26,6 @@ ANTISAT_CLASSES: Dict[str, int] = {DESIGN: 0, ANTISAT: 1}
 #: Ternary classification for TTLock / SFLL-HD:
 #: 0 = design node, 1 = restore node, 2 = perturb node.
 SFLL_CLASSES: Dict[str, int] = {DESIGN: 0, RESTORE: 1, PERTURB: 2}
-
-
-def class_map_for_scheme(scheme: str) -> Dict[str, int]:
-    """Label-to-class mapping for a locking scheme name (registry shim).
-
-    Resolves through the scheme registry first; the legacy substring
-    fallback keeps decorated names like ``"Anti-SAT c2670"`` working.
-    """
-    info = find_scheme(scheme)
-    if info is not None:
-        return dict(info.class_map)
-    normalized = scheme.lower().replace("_", "-")
-    if "anti" in normalized:
-        return dict(ANTISAT_CLASSES)
-    if "ttlock" in normalized or "sfll" in normalized:
-        return dict(SFLL_CLASSES)
-    raise ValueError(f"unknown locking scheme {scheme!r}")
 
 
 def labels_to_classes(

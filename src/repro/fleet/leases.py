@@ -146,23 +146,6 @@ class LeaseTable:
                 if lease.job_id != job_id
             }
 
-    def cancel_pending(self, job_id: str) -> List[int]:
-        """Drain a job's pending indices (for cancellation sweeps).
-
-        Active leases are left to finish or expire; expiry re-queues their
-        index, so the next sweep picks those up too.
-        """
-        with self._lock:
-            entry = self._jobs.get(job_id)
-            if entry is None:
-                return []
-            drained = list(entry.pending)
-            entry.pending.clear()
-            # Cancelled-out indices count as done: the partition invariant
-            # (pending ∪ active ∪ done = all) must survive cancellation.
-            entry.done.update(drained)
-            return drained
-
     # ------------------------------------------------------------------
     # Worker-facing operations
     def claim(

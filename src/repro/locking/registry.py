@@ -4,11 +4,11 @@ Every locking scheme is one self-describing registered module: it declares
 its canonical grid name and aliases, a typed parameter schema
 (:class:`SchemeParam`), its ground-truth node-label class map, the
 primary-input requirement per key size and the default synthesis technology.
-The registry replaces the hardcoded ``make_scheme`` if/elif chain and the
-``class_map_for_scheme`` table (both survive as thin shims over this module),
-so adding a scheme means writing one module that calls
-:func:`register_scheme` — generation, labelling, campaign validation, the
-``repro schemes`` listing and the capability matrix all pick it up from here.
+Callers resolve a name with ``SCHEMES.get(name)``, then read
+``.required_inputs(k)`` or ``.class_map`` or call ``.create(...)``.  Adding a
+scheme means writing one module that calls :func:`register_scheme` —
+generation, labelling, campaign validation, the ``repro schemes`` listing
+and the capability matrix all pick it up from here.
 
 Canonical names are the compact grid strings (``"antisat"``, ``"sfll"``,
 ``"xor"``...) that appear inside dataset fingerprints; they must never change

@@ -233,7 +233,7 @@ _SFLL_CLASS_MAP = {DESIGN: 0, RESTORE: 1, PERTURB: 2}
 
 
 def _make_sfll(key_size: int, h: int) -> SfllHdLocking:
-    # h = 0 degenerates to TTLock, preserving the legacy make_scheme mapping.
+    # h = 0 protects only the key pattern itself: that is TTLock.
     return TTLockLocking(key_size) if h == 0 else SfllHdLocking(key_size, h)
 
 

@@ -14,13 +14,13 @@ Two engines sit behind one API:
 ``engine="auto"`` (the default) picks packed once a call simulates at least
 :data:`PACKED_MIN_PATTERNS` patterns on a circuit whose cells are all proven
 packed-safe, and is bit-identical to the dense engine in every case.  The
-``REPRO_SIM_ENGINE`` environment variable (``auto``/``packed``/``dense``)
-overrides the default choice process-wide.
+dense engine stays as the test reference and as the path for circuits with
+cells that are not packed-safe; pass ``engine="dense"``/``"packed"`` to pin
+one.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Dict, Mapping, Optional, Sequence
 
 import numpy as np
@@ -54,8 +54,6 @@ def _as_bool_array(value, n_patterns: int) -> np.ndarray:
 
 def _resolve_engine(engine: str, circuit: Circuit, n_patterns: int) -> str:
     """Resolve an ``engine`` request to ``"packed"`` or ``"dense"``."""
-    if engine == "auto":
-        engine = os.environ.get("REPRO_SIM_ENGINE", "auto").strip().lower() or "auto"
     if engine == "auto":
         if n_patterns >= PACKED_MIN_PATTERNS and circuit_supports_packed(circuit):
             return "packed"

@@ -47,7 +47,6 @@ from .executor import (
     run_campaign,
 )
 from .matrix import (
-    MatrixHistory,
     WarehouseMatrixHistory,
     build_matrix,
     matrix_campaign,
@@ -73,7 +72,6 @@ __all__ = [
     "CacheStats",
     "CampaignSpec",
     "DatasetSpec",
-    "MatrixHistory",
     "WarehouseMatrixHistory",
     "PROFILES",
     "ResultStore",

@@ -27,7 +27,6 @@ from ..core.config import AttackConfig
 from ..core.dataset import LockedInstance, NodeDataset, build_dataset
 from ..core.generation import (
     generate_instances,
-    required_key_inputs,
     suite_benchmarks,
     suite_key_sizes,
 )
@@ -320,7 +319,8 @@ def _lockable(scheme: str, benchmark: str, key_sizes: Sequence[int], size_scale:
     if profile is None:
         return True  # unknown names fail at generation time with a clear error
     n_inputs = profile.scaled(size_scale)[0]
-    return any(n_inputs >= required_key_inputs(scheme, k) for k in key_sizes)
+    required = get_scheme(scheme).required_inputs
+    return any(n_inputs >= required(k) for k in key_sizes)
 
 
 @dataclass

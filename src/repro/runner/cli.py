@@ -94,7 +94,6 @@ from ..warehouse import (
 )
 from .executor import run_campaign
 from .matrix import (
-    MatrixHistory,
     WarehouseMatrixHistory,
     build_matrix,
     matrix_campaign,
@@ -315,14 +314,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="JSONL result store (default: runs/<name>.jsonl)",
     )
     matrix.add_argument(
-        "--history", type=Path, default=None,
-        help="sweep-history JSONL for trend deltas "
-        "(default: <store>.history.jsonl)",
-    )
-    matrix.add_argument(
         "--warehouse", type=Path, default=None, metavar="DIR",
-        help="record sweeps in this result warehouse instead of the "
-        "history JSONL (trend reads become index seeks, no re-scan)",
+        help="result warehouse recording the sweep history for trend deltas "
+        "(default: <store>.history/)",
     )
     matrix.add_argument(
         "--no-resume", action="store_true",
@@ -942,18 +936,12 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
         return 1
     store_path = args.store if args.store else Path("runs") / f"{spec.name}.jsonl"
     history_path = (
-        args.history
-        if args.history
-        else store_path.with_name(store_path.stem + ".history.jsonl")
+        args.warehouse
+        if args.warehouse is not None
+        else store_path.with_name(store_path.stem + ".history")
     )
     store = ResultStore(store_path)
-    if args.warehouse is not None:
-        history = WarehouseMatrixHistory(
-            Warehouse(args.warehouse), name=args.name
-        )
-        history_path = args.warehouse
-    else:
-        history = MatrixHistory(history_path)
+    history = WarehouseMatrixHistory(Warehouse(history_path), name=args.name)
     previous = history.latest()
     results = run_campaign(
         tasks,

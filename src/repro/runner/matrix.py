@@ -9,22 +9,19 @@ whose inputs changed are recomputed.
 The stored records are folded into a capability matrix: one cell per
 ``(scheme, key size, attack)`` with its headline metric (post-processed GNN
 accuracy for GNNUnlock, success rate for the baselines), and each sweep's
-cells are appended to a :class:`MatrixHistory` JSONL so the next sweep can
-render trend deltas (improved / regressed / new / gone) against it.
+cells are recorded in a :class:`WarehouseMatrixHistory` so the next sweep
+can render trend deltas (improved / regressed / new / gone) against it.
 """
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..locking import SCHEMES
 from .campaign import CampaignSpec, profile_config, registered_attacks
 
 __all__ = [
-    "MatrixHistory",
     "WarehouseMatrixHistory",
     "build_matrix",
     "matrix_campaign",
@@ -192,68 +189,15 @@ def build_matrix(records: Iterable[Mapping[str, object]]) -> Dict[str, Dict[str,
 # Trend history.
 
 
-class MatrixHistory:
-    """Append-only JSONL of capability-matrix sweeps.
-
-    Each line is one sweep: ``{"recorded_at": ..., "cells": {...}}``.  The
-    previous sweep's cells are what the trend section of the report diffs
-    against; corrupt or truncated lines are skipped on read, mirroring
-    :class:`~repro.runner.store.ResultStore`.
-    """
-
-    def __init__(self, path) -> None:
-        self.path = Path(path)
-
-    def append(
-        self,
-        cells: Mapping[str, Mapping[str, object]],
-        *,
-        recorded_at: Optional[float] = None,
-    ) -> None:
-        snapshot = {
-            "recorded_at": float(recorded_at if recorded_at is not None else time.time()),
-            "cells": {key: dict(cell) for key, cell in cells.items()},
-        }
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with self.path.open("a", encoding="utf-8") as handle:
-            handle.write(json.dumps(snapshot, sort_keys=True) + "\n")
-
-    def sweeps(self) -> List[Dict[str, object]]:
-        if not self.path.exists():
-            return []
-        sweeps: List[Dict[str, object]] = []
-        with self.path.open("r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    payload = json.loads(line)
-                except json.JSONDecodeError:
-                    continue
-                if isinstance(payload, dict) and isinstance(payload.get("cells"), dict):
-                    sweeps.append(payload)
-        return sweeps
-
-    def latest(self) -> Optional[Dict[str, object]]:
-        sweeps = self.sweeps()
-        return sweeps[-1] if sweeps else None
-
-    def __len__(self) -> int:
-        return len(self.sweeps())
-
-
 class WarehouseMatrixHistory:
     """Matrix sweep history backed by the result warehouse.
 
-    Drop-in for :class:`MatrixHistory` (same ``append`` / ``sweeps`` /
-    ``latest`` / ``__len__`` surface) with two storage differences: every
-    sweep is one warehouse record under an archival key
+    Every sweep is one warehouse record under an archival key
     (``matrix:<name>:<n>``), and the most recent sweep is *also* written
     under a stable head key (``matrix:<name>``), so the nightly re-sweep's
-    ``latest()`` is a single index seek — no JSONL scan, regardless of how
-    many campaigns share the warehouse.  Superseded head records are folded
-    away by ordinary compaction.
+    ``latest()`` is a single index seek, regardless of how many campaigns
+    share the warehouse.  Superseded head records are folded away by
+    ordinary compaction.
     """
 
     def __init__(self, warehouse, *, name: str = "capability-matrix") -> None:

@@ -9,18 +9,16 @@ from repro.core import (
     AttackConfig,
     build_dataset,
     circuit_to_graph,
-    class_map_for_scheme,
     classes_to_labels,
     generate_dataset,
     generate_instances,
     labels_to_classes,
     leave_one_design_out,
-    make_scheme,
     suite_benchmarks,
     suite_key_sizes,
 )
 from repro.core.dataset import LockedInstance
-from repro.locking import AntiSatLocking, SfllHdLocking, TTLockLocking
+from repro.locking import SCHEMES, AntiSatLocking, SfllHdLocking, TTLockLocking
 
 
 def _quick_config(**kwargs):
@@ -39,11 +37,12 @@ def antisat_dataset():
 
 class TestLabeling:
     def test_class_maps(self):
-        assert class_map_for_scheme("Anti-SAT") == ANTISAT_CLASSES
-        assert class_map_for_scheme("SFLL-HD") == SFLL_CLASSES
-        assert class_map_for_scheme("TTLock") == SFLL_CLASSES
+        # Results carry the display name; it resolves through the registry.
+        assert dict(SCHEMES.get("Anti-SAT").class_map) == ANTISAT_CLASSES
+        assert dict(SCHEMES.get("SFLL-HD").class_map) == SFLL_CLASSES
+        assert dict(SCHEMES.get("TTLock").class_map) == SFLL_CLASSES
         with pytest.raises(ValueError):
-            class_map_for_scheme("unknown")
+            SCHEMES.get("unknown")
 
     def test_labels_to_classes_roundtrip(self, antisat_locked):
         graph = circuit_to_graph(antisat_locked.locked)
@@ -59,15 +58,19 @@ class TestLabeling:
 
 
 class TestSchemeFactory:
-    def test_make_scheme(self):
-        assert isinstance(make_scheme("antisat", 8), AntiSatLocking)
-        assert isinstance(make_scheme("ttlock", 8), TTLockLocking)
-        assert isinstance(make_scheme("sfll", 8, 2), SfllHdLocking)
-        assert isinstance(make_scheme("sfll", 8, 0), TTLockLocking)
+    def test_registry_create(self):
+        assert isinstance(SCHEMES.get("antisat").create(key_size=8), AntiSatLocking)
+        assert isinstance(SCHEMES.get("ttlock").create(key_size=8), TTLockLocking)
+        sfll = SCHEMES.get("sfll")
+        assert isinstance(sfll.create(key_size=8, h=2), SfllHdLocking)
+        # h = 0 degenerates to TTLock.
+        locker = sfll.create(key_size=8, h=0)
+        assert isinstance(locker, TTLockLocking)
+        assert locker.name == "TTLock"
         with pytest.raises(ValueError):
-            make_scheme("sfll", 8)
+            sfll.create(key_size=8)
         with pytest.raises(ValueError):
-            make_scheme("mystery", 8)
+            SCHEMES.get("mystery")
 
     def test_suite_helpers(self):
         assert "c7552" in suite_benchmarks("ISCAS-85")
@@ -110,6 +113,29 @@ class TestGeneration:
             "ttlock", ["c5315"], key_sizes=(16,), config=config
         )
         assert instances[0].result.key != instances[1].result.key
+
+    def test_sweep_h_ignored_by_schemes_without_h(self):
+        config = _quick_config()
+        instances = generate_instances(
+            "antisat", ["c2670"], key_sizes=(8,), h=3, config=config
+        )
+        assert instances[0].h is None
+        assert instances[0].result.scheme == "Anti-SAT"
+
+    def test_sfll_with_h0_generates_ttlock(self):
+        config = _quick_config()
+        instances = generate_instances(
+            "sfll", ["c3540"], key_sizes=(8,), h=0, config=config
+        )
+        assert instances[0].result.scheme == "TTLock"
+        assert instances[0].h == 0
+
+    @pytest.mark.parametrize("scheme,h", [("sfll", None), ("mystery", None)])
+    def test_unusable_scheme_rejected(self, scheme, h):
+        with pytest.raises(ValueError):
+            generate_instances(
+                scheme, ["c2670"], key_sizes=(8,), h=h, config=_quick_config()
+            )
 
     def test_synthesised_generation(self):
         config = _quick_config(technology="GEN65")

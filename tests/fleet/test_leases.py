@@ -195,17 +195,6 @@ class TestComplete:
 
 
 class TestJobLifecycle:
-    def test_cancel_pending_drains_only_unleased(self, table):
-        lease = table.claim("w1")[0]
-        drained = table.cancel_pending("job-a")
-        assert drained == [1, 2]
-        assert table.pending_count() == 0
-        assert table.active_count() == 1
-        # The in-flight lease still completes normally.
-        _, accepted, _ = table.complete(lease.lease_id, "w1")
-        assert accepted
-        assert table.outstanding("job-a") == 0
-
     def test_register_adds_tasks_to_the_back_of_a_live_job(self, table):
         table.claim("w1")
         table.register("job-a", [(4, "fp4"), (3, "fp3")])

@@ -4,8 +4,8 @@ The parametrized suite is the acceptance gate a new registration must clear:
 lock a small circuit, behave correctly under simulation with the right key,
 corrupt outputs under wrong keys, label only classes the scheme declares, and
 survive a pickle round-trip.  The fingerprint pins guard the registry
-refactor itself — registry-backed ``make_scheme``/``generate_instances``
-must keep dataset fingerprints byte-identical to the pre-registry encoder.
+refactor itself — registry-backed ``generate_instances`` must keep dataset
+fingerprints byte-identical to the pre-registry encoder.
 """
 
 import pickle
@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from repro.benchgen import get_benchmark
-from repro.core.labeling import class_map_for_scheme
 from repro.locking import (
     SCHEMES,
     SchemeInfo,
@@ -107,8 +106,8 @@ class TestRegistryConformance:
         # The protection class actually appears: a lock that labels nothing
         # as protection logic would train a one-class GNN.
         assert set(result.labels.values()) - {"DN"}
-        # And the class map agrees with the labelling helper.
-        assert class_map_for_scheme(result.scheme) == dict(info.class_map)
+        # And the result's display name resolves back to the same scheme.
+        assert SCHEMES.get(result.scheme).class_map == info.class_map
 
     @pytest.mark.parametrize("name", sorted(CONFORMANCE_PARAMS))
     def test_pickle_round_trip(self, name, locked_results):

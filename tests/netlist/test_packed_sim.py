@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.benchgen import RandomLogicSpec, generate_random_circuit, get_benchmark
+from repro.locking import AntiSatLocking, SfllHdLocking
 from repro.netlist import (
     PACKED_MIN_PATTERNS,
     CircuitError,
@@ -117,6 +118,55 @@ class TestPackedMatchesDense:
         packed = simulate_patterns(circuit, patterns, engine="packed")
         assert np.array_equal(dense, packed)
 
+    def test_largest_profile_at_scale(self):
+        # b17_C is the largest benchgen profile; 2^17 patterns spans many
+        # packed words per net.
+        circuit = get_benchmark("b17_C")
+        patterns = random_patterns(
+            len(circuit.all_inputs), 1 << 17, np.random.default_rng(1)
+        )
+        dense = simulate_patterns(circuit, patterns, engine="dense")
+        packed = simulate_patterns(circuit, patterns, engine="packed")
+        assert np.array_equal(dense, packed)
+
+
+#: Pattern counts around the 64-lane word boundary, all below
+#: PACKED_MIN_PATTERNS, where ``engine="auto"`` would never pick packed.
+_SMALL_BATCHES = [1, 2, 63, 64, 65, 127]
+
+
+def _locked_c2670(locker, seed):
+    result = locker.lock(get_benchmark("c2670"), rng=np.random.default_rng(seed))
+    return result.locked
+
+
+class TestPackedSmallBatches:
+    @pytest.mark.parametrize("n", _SMALL_BATCHES)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_circuits(self, seed, n):
+        circuit = _random_circuit(seed + 40)
+        patterns = random_patterns(
+            len(circuit.all_inputs), n, np.random.default_rng(seed)
+        )
+        dense = simulate_patterns(circuit, patterns, engine="dense")
+        packed = simulate_patterns(circuit, patterns, engine="packed")
+        assert np.array_equal(dense, packed)
+
+    @pytest.mark.parametrize(
+        "locker, seed",
+        [(AntiSatLocking(16), 10), (SfllHdLocking(16, 2), 12)],
+        ids=["antisat", "sfll"],
+    )
+    def test_locked_c2670(self, locker, seed):
+        circuit = _locked_c2670(locker, seed)
+        assert circuit.key_inputs
+        rng = np.random.default_rng(seed)
+        for n in _SMALL_BATCHES:
+            patterns = random_patterns(len(circuit.all_inputs), n, rng)
+            dense = simulate_patterns(circuit, patterns, engine="dense")
+            packed = simulate_patterns(circuit, patterns, engine="packed")
+            assert np.array_equal(dense, packed), n
+
 
 class TestEngineSelection:
     def test_auto_is_identical_to_dense_above_threshold(self, tiny_circuit):
@@ -126,14 +176,6 @@ class TestEngineSelection:
         auto = simulate_patterns(tiny_circuit, patterns)  # engine="auto"
         dense = simulate_patterns(tiny_circuit, patterns, engine="dense")
         assert np.array_equal(auto, dense)
-
-    def test_env_override_forces_dense(self, tiny_circuit, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_ENGINE", "dense")
-        patterns = random_patterns(
-            len(tiny_circuit.all_inputs), 256, np.random.default_rng(0)
-        )
-        out = simulate_patterns(tiny_circuit, patterns)
-        assert out.shape == (256, len(tiny_circuit.outputs))
 
     def test_unknown_engine_rejected(self, tiny_circuit):
         with pytest.raises(ValueError):

@@ -7,8 +7,9 @@ import pytest
 from repro.locking import SCHEMES
 from repro.runner.campaign import registered_attacks
 from repro.runner.cli import main
+from repro.warehouse import Warehouse
 from repro.runner.matrix import (
-    MatrixHistory,
+    WarehouseMatrixHistory,
     build_matrix,
     matrix_campaign,
     matrix_scheme_entries,
@@ -127,19 +128,6 @@ class TestTrends:
         assert [k for k, *_ in buckets["gone"]] == ["ttlock@GEN65|k8|sat"]
         assert buckets["improved"] == []
 
-    def test_history_round_trip_skips_corrupt_lines(self, tmp_path):
-        history = MatrixHistory(tmp_path / "matrix.history.jsonl")
-        assert history.latest() is None
-        cells = build_matrix([_record("xor", "sat", value=1.0)])
-        history.append(cells, recorded_at=100.0)
-        with history.path.open("a", encoding="utf-8") as handle:
-            handle.write("{truncated\n")
-        history.append(cells, recorded_at=200.0)
-        assert len(history) == 2
-        latest = history.latest()
-        assert latest["recorded_at"] == 200.0
-        assert set(latest["cells"]) == set(cells)
-
 
 class TestRendering:
     def test_report_is_deterministic_and_complete(self):
@@ -215,24 +203,45 @@ class TestCli:
         """Two sweeps of a tiny matrix: cells render, the second sweep
         reports trends against the first, resume skips completed cells."""
         store = tmp_path / "matrix.jsonl"
-        history = tmp_path / "matrix.history.jsonl"
         argv = [
             "matrix",
             "--scheme", "xor", "--scheme", "sarlock",
             "--attack", "sps", "--attack", "fall",
             "--targets", "c2670", "--key-sizes", "8",
             "--serial", "--no-cache",
-            "--store", str(store), "--history", str(history),
+            "--store", str(store),
         ]
         assert main(argv) == 0
         first = capsys.readouterr().out
         assert "Capability matrix" in first
         assert "xor@BENCH8 | k8" in first and "sarlock@BENCH8 | k8" in first
         assert "(no previous sweep stored)" in first
-        assert "sweep recorded" in first
+        history_dir = tmp_path / "matrix.history"
+        assert f"sweep recorded in {history_dir} (1 sweep(s))" in first
 
         assert main(argv) == 0
         second = capsys.readouterr().out
         assert "resume: 4 task(s) already complete" in second
         assert "4 unchanged" in second
-        assert len(MatrixHistory(history)) == 2
+        history = WarehouseMatrixHistory(
+            Warehouse(history_dir), name="capability-matrix"
+        )
+        assert len(history) == 2
+        assert len(history.sweeps()) == 2
+
+    def test_matrix_warehouse_flag_overrides_history_dir(self, tmp_path, capsys):
+        store = tmp_path / "matrix.jsonl"
+        warehouse_dir = tmp_path / "shared-wh"
+        argv = [
+            "matrix", "--scheme", "xor", "--attack", "sps",
+            "--targets", "c2670", "--key-sizes", "8", "--serial", "--no-cache",
+            "--store", str(store), "--warehouse", str(warehouse_dir),
+            "--name", "nightly",
+        ]
+        assert main(argv) == 0
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert f"sweep recorded in {warehouse_dir} (2 sweep(s))" in out
+        assert not (tmp_path / "matrix.history").exists()
+        history = WarehouseMatrixHistory(Warehouse(warehouse_dir), name="nightly")
+        assert len(history.sweeps()) == 2

@@ -10,7 +10,8 @@ import random
 
 import pytest
 
-from repro.sat import CNF, ConflictBudgetExceeded, SatSolver, solve
+from repro.benchgen import RandomLogicSpec, generate_random_circuit
+from repro.sat import CNF, CircuitEncoder, ConflictBudgetExceeded, SatSolver, solve
 
 
 def _random_cnf(rng, n_vars=30, n_clauses=110):
@@ -115,6 +116,41 @@ class TestIncrementalVsFresh:
         result = solver.solve()
         assert result.satisfiable
         assert result.is_assigned(5)
+
+
+def _enumeration_instance():
+    spec = RandomLogicSpec(
+        name="enum", n_inputs=16, n_outputs=1, n_gates=1500, seed=11
+    )
+    circuit = generate_random_circuit(spec)
+    encoder = CircuitEncoder()
+    var_of = encoder.encode(circuit)
+    return encoder.cnf, [var_of[net] for net in list(circuit.inputs)[:6]]
+
+
+def _enumerate(cnf, block_vars, *, incremental):
+    """Count projections onto ``block_vars`` by blocking each model found."""
+    solver = SatSolver(cnf) if incremental else None
+    count = 0
+    while True:
+        result = solver.solve() if incremental else solve(cnf)
+        if not result.satisfiable:
+            return count
+        count += 1
+        blocking = [-v if result.value(v) else v for v in block_vars]
+        cnf.add_clause(blocking)
+        if incremental:
+            solver.add_clause(blocking)
+
+
+class TestEnumeration:
+    @pytest.mark.parametrize("incremental", [False, True], ids=["fresh", "incremental"])
+    def test_circuit_projection_enumeration(self, incremental):
+        # Every assignment of 6 free primary inputs extends through the
+        # 1500-gate circuit formula, so exactly 2^6 projections exist and the
+        # last query proves exhaustion (UNSAT).
+        cnf, block_vars = _enumeration_instance()
+        assert _enumerate(cnf, block_vars, incremental=incremental) == 64
 
 
 class TestConflictBudget:

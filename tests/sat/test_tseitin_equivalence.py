@@ -1,10 +1,14 @@
 """Unit tests for circuit-to-CNF encoding and equivalence checking."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from repro.benchgen import RandomLogicSpec, generate_random_circuit
 from repro.netlist import BENCH8, GEN65, Circuit, exhaustive_patterns, simulate_patterns
 from repro.sat import (
+    CNF,
     CircuitEncoder,
     check_equivalence,
     encode_circuit,
@@ -64,6 +68,88 @@ class TestTseitin:
         )
         assert vars_a["a"] == vars_b["a"]
         assert vars_a["y"] != vars_b["y"]
+
+
+def _random_circuit(seed, n_gates=80):
+    spec = RandomLogicSpec(
+        name=f"enc{seed}", n_inputs=8, n_outputs=3, n_gates=n_gates, seed=seed
+    )
+    return generate_random_circuit(spec)
+
+
+def _digest(cnf):
+    payload = repr((cnf.clauses, sorted(cnf.names.items()), cnf.n_vars))
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+def _assert_var_of_consistent(cnf, var_of, prefix="", share_nets=None):
+    share_nets = share_nets or {}
+    for net, var in var_of.items():
+        expected = share_nets.get(net, cnf.names.get(f"{prefix}{net}"))
+        assert var == expected, net
+
+
+class TestEncodeGoldens:
+    """Clause stream and variable numbering are pinned byte for byte.
+
+    Solver search (decisions, conflicts, learned clauses) depends on both, so
+    any change to the encoder's allocation or clause order shows up here.
+    """
+
+    def test_plain_encode_with_prefix(self):
+        cnf = CNF()
+        var_of = CircuitEncoder(cnf).encode(_random_circuit(3), prefix="X::")
+        _assert_var_of_consistent(cnf, var_of, prefix="X::")
+        assert _digest(cnf) == (
+            "82e2403d440740fb5e4edf8c5305d12405815acac62dca7ba8bd483ab2052bef"
+        )
+
+    def test_miter_with_shared_inputs(self):
+        circuit = _random_circuit(17)
+        cnf = CNF()
+        encoder = CircuitEncoder(cnf)
+        left = encoder.encode(circuit, prefix="l_")
+        share = {net: left[net] for net in circuit.inputs}
+        right = encoder.encode(circuit, prefix="r_", share_nets=share)
+        _assert_var_of_consistent(cnf, right, prefix="r_", share_nets=share)
+        assert _digest(cnf) == (
+            "b7b1376d5c110352a27900a99411265125bf3ec65361bcd84539160c04a62701"
+        )
+
+    def test_sat_attack_dip_copy_with_constant_shares(self):
+        # The SAT attack's per-DIP shape: a keyed copy, then a copy whose
+        # primary inputs are fresh constant-pinned variables and whose keys
+        # are shared with the first copy.
+        circuit = _random_circuit(29)
+        cnf = CNF()
+        encoder = CircuitEncoder(cnf)
+        inputs = list(circuit.inputs)
+        dip, keys = inputs[:5], inputs[5:]
+        key_vars = {net: cnf.var(f"ka::{net}") for net in keys}
+        dip_vars = {net: cnf.var(f"dip::{net}") for net in dip}
+        encoder.encode(circuit, prefix="A::", share_nets={**dip_vars, **key_vars})
+        constants = {}
+        for i, net in enumerate(dip):
+            var = cnf.new_var()
+            cnf.add_clause([var] if i % 2 else [-var])
+            constants[net] = var
+        share = {**constants, **key_vars}
+        copy = encoder.encode(circuit, prefix="ca1::", share_nets=share)
+        _assert_var_of_consistent(cnf, copy, prefix="ca1::", share_nets=share)
+        assert _digest(cnf) == (
+            "fad9d8142f00f41ec67d1a8f3554e86bc37543b66af9be0e05c34328f133504f"
+        )
+
+    def test_share_var_above_high_water_mark(self):
+        # A shared variable beyond n_vars grows the formula mid-encode.
+        circuit = _random_circuit(23, n_gates=30)
+        share = {list(circuit.inputs)[0]: 900}
+        cnf = CNF()
+        var_of = CircuitEncoder(cnf).encode(circuit, share_nets=dict(share))
+        _assert_var_of_consistent(cnf, var_of, share_nets=share)
+        assert _digest(cnf) == (
+            "3bc047a496f3f2e4900fbe41fa39773e13d067730aece9fb79504372fa56eb73"
+        )
 
 
 class TestEquivalence:
