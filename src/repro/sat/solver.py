@@ -8,7 +8,10 @@ baseline).  It implements the standard conflict-driven clause-learning loop:
 * two-watched-literal unit propagation,
 * 1-UIP conflict analysis with clause learning,
 * non-chronological backjumping,
-* activity-based (VSIDS-style) decision heuristic with decay,
+* activity-based (VSIDS-style) decision heuristic with decay: the next
+  decision is the unassigned variable of highest activity, ties broken to the
+  lowest index, popped from a lazy binary heap (the order heap of Chaff and
+  MiniSat) so a decision costs O(log n) instead of a scan over every variable,
 * Luby-sequence restarts,
 * phase saving.
 
@@ -35,6 +38,7 @@ clauses (irrevocably — use per-call assumptions for retractable ones).
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -136,6 +140,8 @@ class SatSolver:
         #: Number of CNF clauses already ingested (for attach_new_clauses).
         self._cnf_clauses_seen = cnf.n_clauses
 
+        if 0 in assumptions:
+            raise ValueError("literal 0 is not allowed")
         for clause in list(cnf.clauses) + [(int(l),) for l in assumptions]:
             clause = list(dict.fromkeys(clause))  # dedupe, keep order
             if len(clause) == 0:
@@ -159,6 +165,12 @@ class SatSolver:
         self.qhead = 0
         self.var_inc = 1.0
         self.var_decay = 0.95
+        #: Decision order: ``(-activity, var)`` entries with lazy deletion.
+        #: Every unassigned variable has an entry keyed on its current
+        #: activity; entries of assigned variables and stale keys are
+        #: discarded when they reach the top.
+        self._order: List[Tuple[float, int]] = []
+        self._rebuild_order()
         if phase_seed is not None:
             self.set_phase_seed(phase_seed)
 
@@ -210,6 +222,8 @@ class SatSolver:
         self.reason.extend([None] * grow)
         self.activity.extend([0.0] * grow)
         self.phase.extend([False] * grow)
+        for new_var in range(var + 1 - grow, var + 1):
+            heapq.heappush(self._order, (-0.0, new_var))
         self.n_vars = max(self.n_vars, var)
 
     def set_phase_seed(self, seed: int) -> None:
@@ -237,6 +251,8 @@ class SatSolver:
         """
         self._cancel_until(0)
         clause = list(dict.fromkeys(int(l) for l in literals))
+        if 0 in clause:
+            raise ValueError("literal 0 is not allowed")
         if not clause:
             self._unsat_on_input = True
             return
@@ -328,6 +344,9 @@ class SatSolver:
             for v in range(1, self.n_vars + 1):
                 self.activity[v] *= 1e-100
             self.var_inc *= 1e-100
+            self._rebuild_order()
+        elif self.assignment[var] is None:
+            heapq.heappush(self._order, (-self.activity[var], var))
 
     def _analyze(self, conflict_idx: int) -> Tuple[List[int], int]:
         """First-UIP conflict analysis; returns (learned clause, backjump level).
@@ -381,11 +400,13 @@ class SatSolver:
         if self._decision_level() <= level:
             return
         limit = self.trail_lim[level]
+        order = self._order
         for lit in reversed(self.trail[limit:]):
             var = abs(lit)
             self.phase[var] = bool(self.assignment[var])
             self.assignment[var] = None
             self.reason[var] = None
+            heapq.heappush(order, (-self.activity[var], var))
         del self.trail[limit:]
         del self.trail_lim[level:]
         self.qhead = min(self.qhead, len(self.trail))
@@ -410,14 +431,25 @@ class SatSolver:
     # ------------------------------------------------------------------
     # Decision heuristic
     # ------------------------------------------------------------------
+    def _rebuild_order(self) -> None:
+        """Re-key the decision heap on every unassigned variable."""
+        self._order = [
+            (-self.activity[v], v)
+            for v in range(1, self.n_vars + 1)
+            if self.assignment[v] is None
+        ]
+        heapq.heapify(self._order)
+
     def _pick_branch_var(self) -> Optional[int]:
-        best_var = None
-        best_act = -1.0
-        for var in range(1, self.n_vars + 1):
-            if self.assignment[var] is None and self.activity[var] > best_act:
-                best_var = var
-                best_act = self.activity[var]
-        return best_var
+        """The unassigned variable of highest activity, lowest index on ties."""
+        if len(self._order) > 4 * self.n_vars:
+            self._rebuild_order()
+        order = self._order
+        while order:
+            neg_act, var = heapq.heappop(order)
+            if self.assignment[var] is None and -neg_act == self.activity[var]:
+                return var
+        return None
 
     # ------------------------------------------------------------------
     # Main loop

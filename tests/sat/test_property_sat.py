@@ -3,7 +3,13 @@
 from hypothesis import given, settings, strategies as st
 
 from repro.netlist import BENCH8, Circuit, exhaustive_patterns, simulate_patterns
-from repro.sat import CNF, encode_circuit, solve
+from repro.sat import CNF, SatSolver, encode_circuit, solve
+
+
+def _literal(max_var):
+    return st.integers(min_value=1, max_value=max_var).flatmap(
+        lambda v: st.sampled_from([v, -v])
+    )
 
 
 @st.composite
@@ -13,15 +19,7 @@ def random_cnf(draw):
     clauses = []
     for _ in range(n_clauses):
         width = draw(st.integers(min_value=1, max_value=3))
-        clause = draw(
-            st.lists(
-                st.integers(min_value=1, max_value=n_vars).flatmap(
-                    lambda v: st.sampled_from([v, -v])
-                ),
-                min_size=width,
-                max_size=width,
-            )
-        )
+        clause = draw(st.lists(_literal(n_vars), min_size=width, max_size=width))
         clauses.append(clause)
     return n_vars, clauses
 
@@ -51,6 +49,54 @@ class TestSolverProperties:
         if result.satisfiable:
             for clause in clauses:
                 assert any((lit > 0) == result.value(abs(lit)) for lit in clause)
+
+
+@st.composite
+def incremental_session(draw):
+    """A random CNF plus a script of ``solve`` / ``add_clause`` steps.
+
+    Added clauses and assumptions may mention variables past every one seen
+    so far, so the script exercises the solver's variable growth between
+    (and inside) ``solve`` calls.
+    """
+    n_vars, clauses = draw(random_cnf())
+    max_var = n_vars
+    steps = []
+    for _ in range(draw(st.integers(min_value=2, max_value=8))):
+        # At most one fresh variable per step, capped so brute force stays cheap.
+        reach = min(max_var + 1, 12)
+        literals = draw(st.lists(_literal(reach), min_size=0, max_size=3))
+        if draw(st.booleans()):
+            steps.append(("solve", literals))
+        elif literals:
+            steps.append(("add", literals))
+        max_var = max([max_var] + [abs(lit) for lit in literals])
+    steps.append(("solve", []))
+    return clauses, steps
+
+
+class TestIncrementalAgainstBruteForce:
+    @given(incremental_session())
+    @settings(max_examples=80, deadline=None)
+    def test_every_verdict_and_model_is_right(self, session):
+        clauses, steps = session
+        cnf = CNF()
+        for clause in clauses:
+            cnf.add_clause(clause)
+        solver = SatSolver(cnf)
+        live = list(clauses)
+        for kind, literals in steps:
+            if kind == "add":
+                solver.add_clause(literals)
+                live.append(literals)
+                continue
+            units = [[lit] for lit in literals]
+            n_vars = max(abs(lit) for clause in live + units for lit in clause)
+            result = solver.solve(assumptions=literals)
+            assert result.satisfiable == _brute_force_sat(n_vars, live + units)
+            if result.satisfiable:
+                for clause in live + units:
+                    assert any((lit > 0) == result.value(abs(lit)) for lit in clause)
 
 
 @st.composite

@@ -119,6 +119,23 @@ class TestSolver:
         with pytest.raises(RuntimeError):
             SatSolver(cnf).solve(max_conflicts=3)
 
+    def test_zero_assumption_rejected_by_constructor(self):
+        cnf = CNF()
+        cnf.add_clause([1, 2])
+        with pytest.raises(ValueError, match="literal 0"):
+            SatSolver(cnf, assumptions=[0])
+
+    @pytest.mark.parametrize("clause", [[0], [0, 2]])
+    def test_zero_literal_rejected_by_add_clause(self, clause):
+        cnf = CNF()
+        cnf.add_clause([1, 2])
+        solver = SatSolver(cnf)
+        with pytest.raises(ValueError, match="literal 0"):
+            solver.add_clause(clause)
+        # The rejected clause left the solver untouched.
+        assert solver.trail == [] and len(solver.clauses) == 1
+        assert solver.solve().satisfiable
+
     def test_tautology_and_duplicate_literals_handled(self):
         cnf = CNF()
         cnf.add_clause([1, -1])  # tautology
