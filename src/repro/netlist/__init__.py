@@ -9,17 +9,7 @@ from .verilog_io import (
     write_verilog,
     write_verilog_file,
 )
-from .packed_sim import (
-    PackedSimulator,
-    cell_supports_packed,
-    circuit_supports_packed,
-    pack_bits,
-    pack_rows,
-    popcount,
-    unpack_bits,
-)
 from .simulate import (
-    PACKED_MIN_PATTERNS,
     evaluate_output,
     exhaustive_patterns,
     random_patterns,
@@ -67,14 +57,6 @@ __all__ = [
     "random_patterns",
     "exhaustive_patterns",
     "evaluate_output",
-    "PACKED_MIN_PATTERNS",
-    "PackedSimulator",
-    "pack_bits",
-    "pack_rows",
-    "unpack_bits",
-    "popcount",
-    "cell_supports_packed",
-    "circuit_supports_packed",
     "estimate_probabilities_simulation",
     "estimate_probabilities_independent",
     "signal_probability_skew",

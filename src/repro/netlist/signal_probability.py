@@ -19,8 +19,7 @@ from typing import Dict, Mapping, Optional
 import numpy as np
 
 from .circuit import Circuit, CircuitError
-from .packed_sim import PackedSimulator, pack_rows, popcount
-from .simulate import _resolve_engine, random_patterns, simulate
+from .simulate import random_patterns, simulate
 
 __all__ = [
     "estimate_probabilities_simulation",
@@ -42,10 +41,6 @@ def estimate_probabilities_simulation(
     ``key_assignment`` naming a net that is not one of the circuit's key
     inputs raises :class:`~repro.netlist.circuit.CircuitError` — a misspelled
     key net must not silently degrade into a random-key simulation.
-
-    On packed-safe circuits the probabilities come straight from popcounts of
-    the bit-parallel engine's words (no per-net bool materialisation);
-    results are bit-identical to the dense path.
     """
     rng = rng or np.random.default_rng(0)
     if key_assignment:
@@ -66,18 +61,7 @@ def estimate_probabilities_simulation(
     every_net = list(circuit.gate_names())
 
     probs: Dict[str, float] = {}
-    if _resolve_engine("auto", circuit, n_patterns) == "packed":
-        order = list(assignments)
-        words = pack_rows([assignments[net] for net in order], n_patterns)
-        packed = {net: words[i] for i, net in enumerate(order)}
-        values = PackedSimulator(circuit).run(packed, every_net)
-        for net in all_inputs:
-            probs[net] = popcount(packed[net]) / n_patterns
-        for net in every_net:
-            probs[net] = popcount(values[net]) / n_patterns
-        return probs
-
-    values = simulate(circuit, assignments, outputs=every_net, engine="dense")
+    values = simulate(circuit, assignments, outputs=every_net)
     for net in all_inputs:
         probs[net] = float(assignments[net].mean())
     for net in every_net:

@@ -1,22 +1,14 @@
 """Vectorised logic simulation of combinational netlists.
 
-Simulation is used by the oracle-guided SAT attack (to query the "oracle"),
-by the equivalence-checking fallback, by the signal-probability analysis
-backing the SPS baseline, and by the FALL unateness analysis.
+Each net is evaluated as a numpy bool vector with one entry per pattern,
+gate by gate in topological order.
 
-Two engines sit behind one API:
-
-* the **dense** engine evaluates each net as a numpy bool vector (one byte
-  per pattern), and
-* the **packed** engine (:mod:`repro.netlist.packed_sim`) evaluates 64
-  patterns per ``uint64`` word, cutting memory traffic 8x per gate.
-
-``engine="auto"`` (the default) picks packed once a call simulates at least
-:data:`PACKED_MIN_PATTERNS` patterns on a circuit whose cells are all proven
-packed-safe, and is bit-identical to the dense engine in every case.  The
-dense engine stays as the test reference and as the path for circuits with
-cells that are not packed-safe; pass ``engine="dense"``/``"packed"`` to pin
-one.
+In the attack pipeline the oracle-guided SAT attack simulates one
+distinguishing input pattern at a time to query its "oracle", and cyclic
+locking simulates a 32-pattern signature block.  SPS uses COP-style
+probability propagation and FALL uses SAT, so neither simulates.  The other
+callers are the opt-in ``method="exhaustive"`` equivalence check and
+:func:`~repro.netlist.signal_probability.estimate_probabilities_simulation`.
 """
 
 from __future__ import annotations
@@ -26,21 +18,14 @@ from typing import Dict, Mapping, Optional, Sequence
 import numpy as np
 
 from .circuit import Circuit, CircuitError
-from .packed_sim import PackedSimulator, circuit_supports_packed
 
 __all__ = [
-    "PACKED_MIN_PATTERNS",
     "simulate",
     "simulate_patterns",
     "random_patterns",
     "exhaustive_patterns",
     "evaluate_output",
 ]
-
-#: Pattern-count threshold at which ``engine="auto"`` switches to the packed
-#: engine.  Below this the per-gate numpy-call overhead dominates either way
-#: and the dense engine's simpler pack-free path wins.
-PACKED_MIN_PATTERNS = 128
 
 
 def _as_bool_array(value, n_patterns: int) -> np.ndarray:
@@ -52,29 +37,11 @@ def _as_bool_array(value, n_patterns: int) -> np.ndarray:
     return arr
 
 
-def _resolve_engine(engine: str, circuit: Circuit, n_patterns: int) -> str:
-    """Resolve an ``engine`` request to ``"packed"`` or ``"dense"``."""
-    if engine == "auto":
-        if n_patterns >= PACKED_MIN_PATTERNS and circuit_supports_packed(circuit):
-            return "packed"
-        return "dense"
-    if engine == "packed":
-        if not circuit_supports_packed(circuit):
-            raise CircuitError(
-                f"circuit {circuit.name} uses cells that are not packed-safe"
-            )
-        return "packed"
-    if engine == "dense":
-        return "dense"
-    raise ValueError(f"unknown simulation engine {engine!r}")
-
-
 def simulate(
     circuit: Circuit,
     assignments: Mapping[str, object],
     *,
     outputs: Optional[Sequence[str]] = None,
-    engine: str = "auto",
 ) -> Dict[str, np.ndarray]:
     """Simulate the circuit on one or more input patterns.
 
@@ -87,10 +54,6 @@ def simulate(
         length-``n`` boolean vector (all vectors must share the same length).
     outputs:
         Net names to report.  Defaults to the circuit's primary outputs.
-    engine:
-        ``"auto"`` (default), ``"packed"`` or ``"dense"``.  The engines are
-        bit-identical; ``auto`` picks packed for wide pattern batches on
-        packed-safe circuits.
 
     Returns
     -------
@@ -114,9 +77,6 @@ def simulate(
 
     wanted = tuple(outputs) if outputs is not None else circuit.outputs
 
-    if _resolve_engine(engine, circuit, n_patterns) == "packed":
-        return PackedSimulator(circuit).run_dense(values, n_patterns, wanted)
-
     gates = circuit.gates
     for name in circuit.topological_order():
         gate = gates[name]
@@ -137,15 +97,13 @@ def simulate_patterns(
     *,
     input_order: Optional[Sequence[str]] = None,
     outputs: Optional[Sequence[str]] = None,
-    engine: str = "auto",
 ) -> np.ndarray:
     """Simulate a dense pattern matrix.
 
     ``patterns`` is ``(n_patterns, n_inputs)`` where columns follow
     ``input_order`` (default: ``circuit.all_inputs``, i.e. PIs then KIs).
     Returns ``(n_patterns, n_outputs)`` with columns following ``outputs``
-    (default: primary outputs).  ``engine`` selects the simulation engine as
-    in :func:`simulate`.
+    (default: primary outputs).
     """
     order = tuple(input_order) if input_order is not None else circuit.all_inputs
     patterns = np.asarray(patterns, dtype=bool)
@@ -155,7 +113,7 @@ def simulate_patterns(
         )
     assignments = {net: patterns[:, i] for i, net in enumerate(order)}
     wanted = tuple(outputs) if outputs is not None else circuit.outputs
-    result = simulate(circuit, assignments, outputs=wanted, engine=engine)
+    result = simulate(circuit, assignments, outputs=wanted)
     return np.column_stack([result[net] for net in wanted])
 
 

@@ -53,8 +53,10 @@ __all__ = [
 #: Setting this to 1/true/yes/on enables span tracing and sidecar emission.
 OBS_ENV = "REPRO_OBS"
 
-#: Histogram observed once per completed span, labelled ``span=<name>`` —
-#: the source of the ``repro report --timings`` phase breakdown.
+#: Histogram observed once per completed span, labelled ``span=<name>``.  It
+#: travels in the metrics snapshot; the ``repro report --timings`` table is
+#: built from the span events instead (``rollup["spans"]``, see
+#: :func:`repro.obs.rollup.merge_sidecars`).
 SPAN_SECONDS_METRIC = "repro_span_seconds"
 
 _TRUE_VALUES = frozenset({"1", "true", "yes", "on"})

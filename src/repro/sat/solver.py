@@ -256,10 +256,13 @@ class SatSolver:
         if not clause:
             self._unsat_on_input = True
             return
-        if any(-lit in clause for lit in clause):
-            return  # tautology
+        # Register every variable before any early return, so a variable
+        # met only in a dropped tautology is still decided and has a value
+        # in the model, as it would had the clause been in the CNF.
         for lit in clause:
             self._ensure_var(abs(lit))
+        if any(-lit in clause for lit in clause):
+            return  # tautology
         reduced: List[int] = []
         for lit in clause:
             val = self._lit_value(lit)

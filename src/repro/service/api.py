@@ -94,6 +94,7 @@ from ..warehouse import (
     Warehouse,
     aggregate_stream,
     build_filter,
+    ingest_state_dir,
     ingest_store,
     parse_since,
 )
@@ -751,6 +752,7 @@ class _ServiceHandler(BaseHTTPRequestHandler):
                     codes.ERR_INVALID_REQUEST,
                     f"unknown report style {style!r}; choose paper or matrix",
                 )
+            self._count_corrupt_lines(store)
             return 200, {
                 "job_id": job.job_id,
                 "status": job.status,
@@ -758,8 +760,21 @@ class _ServiceHandler(BaseHTTPRequestHandler):
                 "report": report,
             }
         if action == "records":
-            return 200, {"job_id": job.job_id, "records": store.load()}
+            records = store.load()
+            self._count_corrupt_lines(store)
+            return 200, {"job_id": job.job_id, "records": records}
         raise _ApiError(404, codes.ERR_NOT_FOUND, f"no route GET /v1/jobs/{tail}")
+
+    def _count_corrupt_lines(self, store: ResultStore) -> None:
+        """Surface a store's unparseable lines on ``/metricsz``.
+
+        :meth:`ResultStore.load` counts them into the process-global
+        registry, which the scrape does not render.
+        """
+        if store.last_corrupt_lines:
+            self.service.metrics.inc(
+                "repro_store_corrupt_lines_total", store.last_corrupt_lines
+            )
 
     def _stream(
         self, job: Job, identity: TokenInfo
@@ -1046,12 +1061,8 @@ class CampaignService:
         Cheap when nothing changed: each source's byte cursor is compared to
         the store file's size and only appended tails are read.
         """
-        added: Dict[str, int] = {}
         with self._warehouse_ingest_lock:
-            for path in sorted(self.queue.stores_dir.glob("*.jsonl")):
-                count = ingest_store(self.warehouse, path, source=path.stem)
-                if count:
-                    added[path.stem] = count
+            added = ingest_state_dir(self.warehouse, self.queue.state_dir)
         total = sum(added.values())
         if total:
             self.metrics.inc("repro_warehouse_ingested_records_total", total)

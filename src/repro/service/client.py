@@ -341,7 +341,6 @@ class ServiceClient:
         job_id: str,
         *,
         timeout: Optional[float] = 300.0,
-        poll_s: float = 0.25,
         on_update=None,
     ) -> Dict[str, object]:
         """Block until the job reaches a terminal status; returns the snapshot.
@@ -349,10 +348,9 @@ class ServiceClient:
         Rides the stream endpoint (one slow HTTP request at a time server
         side) instead of busy-polling the status route.  ``on_update`` (if
         given) receives every received snapshot, for callers that want to
-        surface progress while waiting.  ``poll_s`` is kept for backwards
-        compatibility and only paces the fallback path used if the stream
-        endpoint is unavailable.  Raises :class:`TimeoutError` when
-        ``timeout`` seconds elapse first.
+        surface progress while waiting.  Raises :class:`NotFoundError` for
+        an unknown job and :class:`TimeoutError` when ``timeout`` seconds
+        elapse first.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
         since = 0
@@ -360,16 +358,7 @@ class ServiceClient:
             chunk = STREAM_CHUNK_S
             if deadline is not None:
                 chunk = min(chunk, max(0.0, deadline - time.monotonic()))
-            try:
-                payload = self.stream(job_id, since=since, timeout=chunk)
-            except NotFoundError:
-                # Job missing, or a pre-stream server without the route?
-                # Only the latter degrades to the classic status poll: the
-                # probe below re-raises NotFoundError for an unknown job.
-                self.status(job_id)
-                return self._wait_polling(
-                    job_id, deadline=deadline, poll_s=poll_s, on_update=on_update
-                )
+            payload = self.stream(job_id, since=since, timeout=chunk)
             snapshot = payload["job"]
             since = int(payload["next"])
             if on_update is not None:
@@ -447,14 +436,3 @@ class ServiceClient:
         )
         with self._open(req, self.timeout) as response:
             return json.loads(response.read().decode("utf-8"))
-
-    def _wait_polling(self, job_id, *, deadline, poll_s, on_update):
-        while True:
-            snapshot = self.status(job_id)
-            if on_update is not None:
-                on_update(snapshot)
-            if snapshot["status"] in TERMINAL_STATUSES:
-                return snapshot
-            if deadline is not None and time.monotonic() >= deadline:
-                raise TimeoutError(f"job {job_id} still {snapshot['status']}")
-            time.sleep(poll_s)

@@ -63,18 +63,17 @@ class TestRegistryConformance:
         assert set(result.locked.outputs) == set(result.original.outputs)
 
     @pytest.mark.parametrize("name", sorted(CONFORMANCE_PARAMS))
-    @pytest.mark.parametrize("engine", ["dense", "packed"])
-    def test_correct_key_restores_function(self, name, engine, locked_results):
+    def test_correct_key_restores_function(self, name, locked_results):
         result = locked_results[name]
         rng = np.random.default_rng(7)
         patterns = random_patterns(len(result.original.inputs), 64, rng)
         assign = dict(zip(result.original.inputs, patterns.T))
-        reference = simulate(result.original, assign, engine=engine)
+        reference = simulate(result.original, assign)
         keyed = dict(assign)
         keyed.update(result.key)
-        unlocked = simulate(result.locked, keyed, engine=engine)
+        unlocked = simulate(result.locked, keyed)
         for po in result.original.outputs:
-            assert np.array_equal(unlocked[po], reference[po]), (name, engine, po)
+            assert np.array_equal(unlocked[po], reference[po]), (name, po)
 
     @pytest.mark.parametrize("name", sorted(CONFORMANCE_PARAMS))
     def test_wrong_keys_corrupt_outputs(self, name, locked_results):

@@ -9,9 +9,7 @@ from repro.netlist import (
     CircuitError,
     estimate_probabilities_independent,
     estimate_probabilities_simulation,
-    random_patterns,
     signal_probability_skew,
-    simulate,
 )
 
 
@@ -80,19 +78,3 @@ class TestSimulationEstimate:
             estimate_probabilities_simulation(
                 c, n_patterns=64, key_assignment={"keyinput_0": False}
             )
-
-    def test_packed_and_dense_estimates_identical(self, skewed):
-        # skewed is packed-safe and 2048 >= PACKED_MIN_PATTERNS, so the
-        # estimate takes the popcount path; the reference is a dense
-        # simulation over the same random patterns.
-        packed = estimate_probabilities_simulation(
-            skewed, n_patterns=2048, rng=np.random.default_rng(7)
-        )
-        inputs = skewed.all_inputs
-        patterns = random_patterns(len(inputs), 2048, np.random.default_rng(7))
-        assignments = {net: patterns[:, i] for i, net in enumerate(inputs)}
-        every_net = list(skewed.gate_names())
-        values = simulate(skewed, assignments, outputs=every_net, engine="dense")
-        dense = {net: float(assignments[net].mean()) for net in inputs}
-        dense.update({net: float(values[net].mean()) for net in every_net})
-        assert packed == dense

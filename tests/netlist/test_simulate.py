@@ -13,7 +13,35 @@ from repro.netlist import (
 )
 
 
+def _bits(n, seed):
+    return np.random.default_rng(seed).integers(0, 2, size=n).astype(bool)
+
+
+#: Input batches for the truth-table check: pattern counts on both sides of
+#: a 64-bit word boundary, and scalars mixed with vectors (a scalar
+#: broadcasts across every pattern).
+_ASSIGNMENTS = {
+    "batch-1": {"a": _bits(1, 1), "b": _bits(1, 2), "c": _bits(1, 3)},
+    "batch-63": {"a": _bits(63, 1), "b": _bits(63, 2), "c": _bits(63, 3)},
+    "batch-64": {"a": _bits(64, 1), "b": _bits(64, 2), "c": _bits(64, 3)},
+    "batch-65": {"a": _bits(65, 1), "b": _bits(65, 2), "c": _bits(65, 3)},
+    "mixed-scalar-vector": {"a": _bits(320, 9), "b": True, "c": _bits(320, 10)},
+}
+
+
 class TestSimulate:
+    @pytest.mark.parametrize("case", sorted(_ASSIGNMENTS))
+    def test_matches_truth_table(self, tiny_circuit, case):
+        assignments = _ASSIGNMENTS[case]
+        n = max(np.size(v) for v in assignments.values())
+        a, b, c = (
+            np.broadcast_to(np.asarray(assignments[net], dtype=bool), (n,))
+            for net in ("a", "b", "c")
+        )
+        out = simulate(tiny_circuit, assignments)
+        assert np.array_equal(out["y"], (a & b) ^ c)
+        assert np.array_equal(out["z"], ~(b | c))
+
     def test_scalar_simulation(self, tiny_circuit):
         out = simulate(tiny_circuit, {"a": True, "b": True, "c": False})
         assert bool(out["y"][0]) is True  # (1&1)^0

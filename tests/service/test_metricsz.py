@@ -61,6 +61,22 @@ class TestMetricsEndpoint:
         assert parsed["repro_service_job_run_seconds_count"] == 1.0
         assert parsed["repro_service_workers_busy"] == 0.0
 
+    def test_corrupt_store_lines_reach_the_scrape(self, service_factory):
+        service = service_factory()
+        client = ServiceClient(service.url)
+        job_id = client.submit(summary_spec("corrupt"))["job"]["job_id"]
+        client.wait(job_id, timeout=120.0)
+        client.report(job_id)
+        assert "repro_store_corrupt_lines_total" not in _scrape(service)
+
+        store_path = service.queue.stores_dir / f"{job_id}.jsonl"
+        with store_path.open("a", encoding="utf-8") as handle:
+            handle.write("{not json\n")
+        client.report(job_id)
+        assert _scrape(service)["repro_store_corrupt_lines_total"] == 1.0
+        client.records(job_id)
+        assert _scrape(service)["repro_store_corrupt_lines_total"] == 2.0
+
     def test_deduped_resubmission_is_counted_separately(self, service_factory):
         service = service_factory()
         client = ServiceClient(service.url)

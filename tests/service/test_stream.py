@@ -87,6 +87,11 @@ class TestStreamEndpoint:
         with pytest.raises(NotFoundError):
             client.stream("no-such-job")
 
+    def test_wait_on_unknown_job_is_404(self, service_factory):
+        client = ServiceClient(service_factory().url)
+        with pytest.raises(NotFoundError):
+            client.wait("no-such-job", timeout=5)
+
     def test_bad_parameters_are_400(self, service_factory):
         client = ServiceClient(service_factory().url)
         job = client.submit(summary_spec())["job"]
