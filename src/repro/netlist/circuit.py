@@ -189,7 +189,11 @@ class Circuit:
 
     @property
     def gates(self) -> Dict[str, Gate]:
-        """Mapping of net name -> driving gate (do not mutate directly)."""
+        """Fresh O(n) copy of the net name -> driving gate mapping.
+
+        Every read copies all gates; per-gate loops should use :meth:`gate`,
+        :meth:`has_gate` or one :meth:`fanout_map` instead.
+        """
         return dict(self._gates)
 
     def gate(self, name: str) -> Gate:

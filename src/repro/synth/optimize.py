@@ -38,10 +38,8 @@ def remove_buffers(circuit: Circuit) -> Tuple[Circuit, Dict[str, str]]:
     while changed:
         changed = False
         for name in list(out.gate_names()):
-            gate = out.gates.get(name)
-            if gate is None or gate.cell.name != "BUF":
-                continue
-            if out.is_output(name):
+            gate = out.gate(name)  # only the gate itself is ever removed
+            if gate.cell.name != "BUF" or out.is_output(name):
                 continue
             source = gate.inputs[0]
             for sink in out.fanout_of(name):

@@ -63,6 +63,22 @@ class TestOptimise:
         assert not out.has_gate("b1")
         assert check_equivalence(c, out).equivalent
 
+    def test_remove_buffers_deep_chain(self):
+        c = Circuit("chain", BENCH8)
+        c.add_input("a")
+        c.add_input("b")
+        prev = "a"
+        for i in range(50):
+            c.add_gate(f"b{i}", "BUF", [prev])
+            prev = f"b{i}"
+        c.add_gate("y", "AND", [prev, "b"])
+        c.add_output("y")
+        out, name_map = remove_buffers(c)
+        assert out.gate_names() == ("y",)
+        assert out.gate("y").inputs == ("a", "b")
+        assert name_map == {"y": "y"}
+        assert check_equivalence(c, out).equivalent
+
     def test_buffer_driving_po_kept(self):
         c = Circuit("buf", BENCH8)
         c.add_input("a")
