@@ -1,6 +1,6 @@
 """From-scratch GraphSAGE / GraphSAINT implementation (numpy only)."""
 
-from .data import GraphData, normalize_adjacency
+from .data import GraphData, normalize_adjacency, normalize_induced_adjacency
 from .layers import DenseLayer, Dropout, GraphSageLayer, glorot
 from .model import GnnConfig, GraphSageClassifier, cross_entropy_loss, softmax
 from .optim import Adam
@@ -10,6 +10,7 @@ from .trainer import Trainer, TrainingHistory, train_node_classifier
 __all__ = [
     "GraphData",
     "normalize_adjacency",
+    "normalize_induced_adjacency",
     "DenseLayer",
     "Dropout",
     "GraphSageLayer",

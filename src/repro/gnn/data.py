@@ -8,21 +8,61 @@ from typing import Optional, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-__all__ = ["GraphData", "normalize_adjacency"]
+__all__ = ["GraphData", "normalize_adjacency", "normalize_induced_adjacency"]
 
 
-def normalize_adjacency(adjacency: sp.spmatrix) -> sp.csr_matrix:
-    """Row-normalise an adjacency matrix (mean aggregation operator).
+def normalize_induced_adjacency(
+    adjacency: sp.csr_matrix, nodes: np.ndarray
+) -> sp.csr_matrix:
+    """Row-normalised adjacency of the subgraph induced by ``nodes``.
+
+    Row and column ``k`` of the result stand for node ``nodes[k]``; ``nodes``
+    must not repeat.  ``adjacency`` holds positive weights and no column
+    twice in a row (as any CSR built from COO input).  One numpy gather over
+    the CSR arrays builds the result, equal bit for bit to
+    ``sp.diags(inv) @ adjacency[nodes][:, nodes]``: degrees are summed as
+    ``csr.sum(axis=1)`` sums them, each value is ``inv[row] * a_ij``, and
+    each row stores its entries in *reverse* order, as the sparse product
+    emits them.  The order matters because ``operator @ x`` sums in storage
+    order.
 
     Isolated nodes get an all-zero row, so their neighbourhood mean is the
     zero vector — matching GraphSAGE's behaviour for empty neighbourhoods.
     """
-    adjacency = sp.csr_matrix(adjacency, dtype=np.float64)
-    degrees = np.asarray(adjacency.sum(axis=1)).ravel()
-    inv = np.zeros_like(degrees)
-    nonzero = degrees > 0
-    inv[nonzero] = 1.0 / degrees[nonzero]
-    return sp.diags(inv) @ adjacency
+    nodes = np.asarray(nodes, dtype=np.int64)
+    m = nodes.size
+    position = np.full(adjacency.shape[0], -1, dtype=np.int64)
+    position[nodes] = np.arange(m)
+    starts = adjacency.indptr[nodes]
+    counts = adjacency.indptr[nodes + 1] - starts
+    # Every entry of the selected rows, row by row in storage order; keep
+    # those whose column is selected too.
+    offsets = np.cumsum(counts) - counts
+    entries = np.arange(counts.sum()) + np.repeat(starts - offsets, counts)
+    rows = np.repeat(np.arange(m), counts)
+    cols = position[adjacency.indices[entries]]
+    inside = cols >= 0
+    rows, cols = rows[inside], cols[inside]
+    values = adjacency.data[entries[inside]].astype(np.float64, copy=False)
+
+    indptr = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=m), out=indptr[1:])
+    # ``csr.sum(axis=1)`` reduces each non-empty row with ``np.add.reduceat``.
+    nonempty = np.flatnonzero(np.diff(indptr))
+    degrees = np.zeros(m)
+    degrees[nonempty] = np.add.reduceat(values, indptr[nonempty])
+    positive = degrees > 0
+    inv = np.zeros(m)
+    inv[positive] = 1.0 / degrees[positive]
+    reverse = (indptr[:-1] + indptr[1:] - 1)[rows] - np.arange(rows.size)
+    values = inv[rows] * values
+    return sp.csr_matrix((values[reverse], cols[reverse], indptr), shape=(m, m))
+
+
+def normalize_adjacency(adjacency: sp.spmatrix) -> sp.csr_matrix:
+    """Row-normalise a whole adjacency matrix (mean aggregation operator)."""
+    adjacency = sp.csr_matrix(adjacency)
+    return normalize_induced_adjacency(adjacency, np.arange(adjacency.shape[0]))
 
 
 @dataclass
@@ -72,23 +112,3 @@ class GraphData:
 
     def normalized_adjacency(self) -> sp.csr_matrix:
         return normalize_adjacency(self.adjacency)
-
-    def subgraph(self, node_indices: np.ndarray) -> "GraphData":
-        """Induced subgraph on ``node_indices`` (used by GraphSAINT sampling)."""
-        node_indices = np.asarray(node_indices)
-        sub_adj = self.adjacency[node_indices][:, node_indices]
-        names = (
-            [self.node_names[i] for i in node_indices] if self.node_names else []
-        )
-        return GraphData(
-            adjacency=sub_adj,
-            features=self.features[node_indices],
-            labels=self.labels[node_indices],
-            train_mask=self.train_mask[node_indices],
-            val_mask=self.val_mask[node_indices],
-            test_mask=self.test_mask[node_indices],
-            node_names=names,
-            graph_ids=(
-                self.graph_ids[node_indices] if self.graph_ids is not None else None
-            ),
-        )

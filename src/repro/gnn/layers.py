@@ -85,17 +85,21 @@ class GraphSageLayer:
         self._cache: Dict[str, object] = {}
 
     def forward(
-        self, x: np.ndarray, adj_norm: sp.csr_matrix, training: bool = False
+        self, x: np.ndarray, adj_norm: sp.csr_matrix, training: bool = False,
+        adj_t: Optional[sp.spmatrix] = None,
     ) -> np.ndarray:
+        """``adj_t`` is ``adj_norm.T`` for :meth:`backward`, else taken there."""
         neighbour_mean = adj_norm @ x
         h = np.concatenate([x, neighbour_mean], axis=1)
         z = h @ self.weight + self.bias
         out = np.maximum(z, 0.0) if self.activation == "relu" else z
-        self._cache = {"h": h, "z": z, "adj": adj_norm}
+        self._cache = {"h": h, "z": z, "adj": adj_norm, "adj_t": adj_t}
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        h, z, adj = self._cache["h"], self._cache["z"], self._cache["adj"]
+        h, z, adj_t = self._cache["h"], self._cache["z"], self._cache["adj_t"]
+        if adj_t is None:
+            adj_t = self._cache["adj"].T
         if self.activation == "relu":
             grad_out = grad_out * (z > 0)
         self.grad_weight = h.T @ grad_out
@@ -103,7 +107,7 @@ class GraphSageLayer:
         grad_h = grad_out @ self.weight.T
         grad_self = grad_h[:, : self.in_dim]
         grad_neigh = grad_h[:, self.in_dim:]
-        return grad_self + adj.T @ grad_neigh
+        return grad_self + adj_t @ grad_neigh
 
     @property
     def parameters(self) -> List[np.ndarray]:

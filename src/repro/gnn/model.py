@@ -119,12 +119,14 @@ class GraphSageClassifier:
         training: bool = False,
     ) -> np.ndarray:
         """Return class probabilities for every node."""
+        # One transpose per training step, shared by both SAGE backwards.
+        adj_t = adj_norm.T if training else None
         h = self.dropouts[0].forward(features, training)
         h = self.input_layer.forward(h, training)
         h = self.dropouts[1].forward(h, training)
-        h = self.sage1.forward(h, adj_norm, training)
+        h = self.sage1.forward(h, adj_norm, training, adj_t)
         h = self.dropouts[2].forward(h, training)
-        h = self.sage2.forward(h, adj_norm, training)
+        h = self.sage2.forward(h, adj_norm, training, adj_t)
         h = self.dropouts[3].forward(h, training)
         logits = self.output_layer.forward(h, training)
         return softmax(logits)

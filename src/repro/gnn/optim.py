@@ -39,11 +39,17 @@ class Adam:
                 f"expected {len(self.parameters)} gradients, got {len(gradients)}"
             )
         self._t += 1
-        for i, (param, grad) in enumerate(zip(self.parameters, gradients)):
+        bias1 = 1 - self.beta1 ** self._t
+        bias2 = 1 - self.beta2 ** self._t
+        # In place, rounding as m = b1*m + (1-b1)*g and lr * m_hat / (sqrt(v_hat) + eps) do.
+        for param, grad, m, v in zip(self.parameters, gradients, self._m, self._v):
             if self.weight_decay:
                 grad = grad + self.weight_decay * param
-            self._m[i] = self.beta1 * self._m[i] + (1 - self.beta1) * grad
-            self._v[i] = self.beta2 * self._v[i] + (1 - self.beta2) * (grad * grad)
-            m_hat = self._m[i] / (1 - self.beta1 ** self._t)
-            v_hat = self._v[i] / (1 - self.beta2 ** self._t)
-            param -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
+            m *= self.beta1
+            m += (1 - self.beta1) * grad
+            v *= self.beta2
+            v += (1 - self.beta2) * (grad * grad)
+            step = m / bias1
+            step *= self.learning_rate
+            step /= np.sqrt(v / bias2) + self.epsilon
+            param -= step

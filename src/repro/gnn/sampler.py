@@ -16,6 +16,9 @@ Walks step through the CSR adjacency in batch: one vectorised
 while consuming the *identical* PCG64 stream (numpy draws array-bounded
 integers element by element from the same bit generator), so results are
 bit-for-bit what the loop produced.
+
+A batch carries its nodes and their row-normalised induced adjacency, built
+here by one CSR gather, so the trainer's ``sample_wait_s`` counts that too.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..obs import span
-from .data import GraphData
+from .data import GraphData, normalize_induced_adjacency
 
 __all__ = ["RandomWalkSampler", "SampledSubgraph", "batched_random_walk"]
 
@@ -47,7 +50,8 @@ def batched_random_walk(
     union of every visited node, as ``int64``.
     """
     current = np.asarray(roots, dtype=np.int64)
-    visited = [current]
+    visited = np.zeros(indptr.size - 1, dtype=bool)
+    visited[current] = True
     for _ in range(walk_length):
         starts = indptr[current]
         ends = indptr[current + 1]
@@ -57,16 +61,17 @@ def batched_random_walk(
             draws = rng.integers(starts[movable], ends[movable])
             next_nodes[movable] = indices[draws]
         current = next_nodes
-        visited.append(current)
-    return np.unique(np.concatenate(visited))
+        visited[current] = True
+    return np.flatnonzero(visited)
 
 
 @dataclass
 class SampledSubgraph:
-    """One GraphSAINT mini-batch: an induced subgraph plus loss weights."""
+    """One GraphSAINT mini-batch: sorted node indices, the row-normalised
+    adjacency of the subgraph they induce, and per-node loss weights."""
 
-    data: GraphData
     node_indices: np.ndarray
+    adj_norm: sp.csr_matrix
     loss_weights: np.ndarray
 
 
@@ -120,15 +125,15 @@ class RandomWalkSampler:
 
     # ------------------------------------------------------------------
     def sample(self) -> SampledSubgraph:
-        """Draw one mini-batch subgraph."""
+        """Draw one mini-batch: walk, then build its aggregation operator."""
         with span("sampling", phase="batch") as handle:
             nodes = self._walk_nodes()
             self._inclusion_counts[nodes] += 1
             self._norm_samples += 1
-            data = self.graph.subgraph(nodes)
+            adj_norm = normalize_induced_adjacency(self.adjacency, nodes)
             probs = self._inclusion_counts[nodes] / max(self._norm_samples, 1)
             probs = np.clip(probs, 1e-3, None)
             weights = 1.0 / probs
             weights = weights / weights.mean()
             handle.tag(n_nodes=int(nodes.size))
-            return SampledSubgraph(data=data, node_indices=nodes, loss_weights=weights)
+            return SampledSubgraph(nodes, adj_norm, weights)

@@ -6,7 +6,8 @@ model selection on the validation split — "the model with the best
 performance on the validation set is used to evaluate the test set accuracy".
 
 :class:`TrainingHistory` records how long the training step spent building
-mini-batches (``sample_wait_s``).
+mini-batches (``sample_wait_s``): the random walks plus the batch's
+normalised adjacency, which the sampler builds with the batch.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..obs import span
 from .data import GraphData
@@ -37,7 +37,8 @@ class TrainingHistory:
     best_epoch: int = -1
     epochs_run: int = 0
     train_time_s: float = 0.0
-    #: Total seconds the training step spent on mini-batch construction.
+    #: Total seconds the training step spent on mini-batch construction,
+    #: building each batch's normalised adjacency included.
     sample_wait_s: float = 0.0
 
 
@@ -92,19 +93,19 @@ class Trainer:
         return batch
 
     def _train_step(self) -> float:
+        graph = self.graph
         if self._sampler is not None:
             batch = self._next_batch()
-            data = batch.data
-            adj_norm = data.normalized_adjacency()
-            features, labels = data.features, data.labels
-            mask = data.train_mask.astype(bool)
+            nodes = batch.node_indices
+            adj_norm = batch.adj_norm
+            features, labels = graph.features[nodes], graph.labels[nodes]
+            mask = graph.train_mask[nodes].astype(bool)
             node_weights = batch.loss_weights
         else:
-            data = self.graph
             adj_norm = self._full_adj_norm
-            features, labels = data.features, data.labels
-            mask = data.train_mask.astype(bool)
-            node_weights = np.ones(data.n_nodes)
+            features, labels = graph.features, graph.labels
+            mask = graph.train_mask.astype(bool)
+            node_weights = np.ones(graph.n_nodes)
 
         probs = self.model.forward(features, adj_norm, training=True)
         sample_weight = np.zeros(len(labels))

@@ -1,5 +1,7 @@
 """Unit tests for GraphData, the GraphSAINT sampler and the trainer."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -80,13 +82,6 @@ class TestGraphData:
         norm = normalize_adjacency(adj)
         assert norm.nnz == 0
 
-    def test_subgraph_selection(self):
-        data = _two_cluster_graph(40)
-        sub = data.subgraph(np.arange(10))
-        assert sub.n_nodes == 10
-        assert sub.adjacency.shape == (10, 10)
-        assert np.array_equal(sub.labels, data.labels[:10])
-
 
 class TestSampler:
     def test_sampled_subgraph_contains_training_nodes(self):
@@ -95,9 +90,11 @@ class TestSampler:
             data, n_roots=20, walk_length=2, rng=np.random.default_rng(0)
         )
         batch = sampler.sample()
-        assert batch.data.n_nodes > 0
-        assert batch.data.n_nodes <= data.n_nodes
-        assert batch.loss_weights.shape == (batch.data.n_nodes,)
+        n = batch.node_indices.size
+        assert n > 0
+        assert n <= data.n_nodes
+        assert batch.adj_norm.shape == (n, n)
+        assert batch.loss_weights.shape == (n,)
         assert (batch.loss_weights > 0).all()
 
     def test_loss_weights_normalised(self):
@@ -200,7 +197,9 @@ class TestRandomStreamStability:
         assert nodes.size > 0
         batch = sampler.sample()
         assert batch.node_indices.dtype == np.int64
-        assert batch.data.n_nodes == batch.node_indices.size
+        n = batch.node_indices.size
+        assert batch.adj_norm.shape == (n, n)
+        assert batch.adj_norm.nnz == 0
 
 
 class TestSerialDeterminism:
@@ -319,3 +318,39 @@ class TestTrainer:
         trainer = Trainer(model, data, config=config)
         weights = trainer._compute_class_weights()
         assert weights[1] > weights[0]
+
+
+class TestBatchConstruction:
+    """Each random-walk step builds one sparse operator and one transpose."""
+
+    def test_step_builds_no_graph_and_transposes_once(self, monkeypatch):
+        data = _two_cluster_graph(200, seed=9)
+        config = GnnConfig(
+            n_features=6, n_classes=2, hidden_dim=8, epochs=12, patience=100,
+            root_nodes=40, eval_every=5, seed=0,
+        )
+        trainer = Trainer(
+            GraphSageClassifier(config), data, config=config,
+            rng=np.random.default_rng(0),
+        )
+        calls = Counter()
+
+        def counted(name, function):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(
+            GraphData, "__init__", counted("GraphData", GraphData.__init__)
+        )
+        monkeypatch.setattr(sp, "diags", counted("diags", sp.diags))
+        monkeypatch.setattr(
+            sp.csr_matrix, "transpose",
+            counted("transpose", sp.csr_matrix.transpose),
+        )
+        history = trainer.fit()
+        assert history.epochs_run == 12
+        assert calls["GraphData"] == 0
+        assert calls["diags"] == 0
+        assert 0 < calls["transpose"] <= history.epochs_run

@@ -73,6 +73,35 @@ class TestPrimitives:
             opt.step([2 * param])
         assert np.abs(param).max() < 0.1
 
+    @pytest.mark.parametrize("weight_decay", [0.0, 1e-3])
+    def test_adam_matches_out_of_place_update(self, weight_decay):
+        # The in-place update keeps the out-of-place expression's
+        # floating-point order, so trained weights stay bit-identical.
+        rng = np.random.default_rng(4)
+        shapes = [(6, 4), (4,)]
+        params = [rng.normal(size=shape) for shape in shapes]
+        expected = [p.copy() for p in params]
+        m = [np.zeros_like(p) for p in params]
+        v = [np.zeros_like(p) for p in params]
+        lr, beta1, beta2, eps = 0.01, 0.9, 0.999, 1e-8
+        opt = Adam(params, learning_rate=lr, weight_decay=weight_decay)
+        for t in range(1, 51):
+            grads = [rng.normal(size=shape) for shape in shapes]
+            before = [g.copy() for g in grads]
+            opt.step(grads)
+            for g, g0 in zip(grads, before):
+                assert np.array_equal(g, g0)
+            for i, (param, grad) in enumerate(zip(expected, grads)):
+                if weight_decay:
+                    grad = grad + weight_decay * param
+                m[i] = beta1 * m[i] + (1 - beta1) * grad
+                v[i] = beta2 * v[i] + (1 - beta2) * (grad * grad)
+                m_hat = m[i] / (1 - beta1 ** t)
+                v_hat = v[i] / (1 - beta2 ** t)
+                param -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        for param, want in zip(params, expected):
+            assert np.array_equal(param, want)
+
     def test_adam_gradient_count_checked(self):
         param = np.zeros(3)
         opt = Adam([param])
