@@ -12,15 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
-import numpy as np
-
 from ..netlist.circuit import Circuit, CircuitError
 from ..netlist.gates import BENCH8
-from ..netlist.traversal import (
-    fanin_cone,
-    key_inputs_in_fanin,
-    primary_inputs_in_fanin,
-    )
+from ..netlist.traversal import fanin_cone, key_cone, primary_inputs_in_fanin
 from ..sat.solver import ConflictBudgetExceeded, SatSolver
 from ..sat.tseitin import CircuitEncoder
 
@@ -79,9 +73,8 @@ def trace_sfll_structure(circuit: Circuit) -> SfllStructure:
     if not protected_inputs:
         raise CircuitError("could not derive the protected input set")
 
-    restore_gates = {
-        gate.name for gate in circuit if key_inputs_in_fanin(circuit, gate.name)
-    }
+    restore_gates = set(key_cone(circuit))
+    key_fed_nets = restore_gates | set(circuit.key_inputs)
 
     # The restoring XOR: an XOR whose inputs split into a key-fed restore side
     # (support inside the protected inputs plus KIs) and a key-free stripped
@@ -93,7 +86,7 @@ def trace_sfll_structure(circuit: Circuit) -> SfllStructure:
     for gate in circuit:
         if gate.cell.name not in _XOR_CELLS or len(gate.inputs) != 2:
             continue
-        sides = [bool(key_inputs_in_fanin(circuit, net)) for net in gate.inputs]
+        sides = [net in key_fed_nets for net in gate.inputs]
         if sides.count(True) != 1:
             continue
         key_fed = gate.inputs[sides.index(True)]

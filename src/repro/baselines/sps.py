@@ -23,7 +23,7 @@ from ..netlist.signal_probability import (
     estimate_probabilities_independent,
     signal_probability_skew,
 )
-from ..netlist.traversal import fanin_cone, has_key_input_in_fanin
+from ..netlist.traversal import fanin_cone, key_cone
 from ..sat.equivalence import check_equivalence
 from .base import BaselineResult
 
@@ -35,12 +35,13 @@ _AND_LIKE = ("AND", "AND2", "NAND", "NAND2")
 def locate_antisat_output(circuit: Circuit) -> Tuple[Optional[str], float]:
     """Return (gate, ADS) of the most oppositely-skewed AND-like gate."""
     probabilities = estimate_probabilities_independent(circuit)
+    key_fed = set(key_cone(circuit))
     best_gate: Optional[str] = None
     best_ads = -1.0
     for gate in circuit:
         if gate.cell.name not in _AND_LIKE or len(gate.inputs) != 2:
             continue
-        if not has_key_input_in_fanin(circuit, gate.name):
+        if gate.name not in key_fed:
             continue
         skews = [signal_probability_skew(probabilities[n]) for n in gate.inputs]
         ads = abs(skews[0] - skews[1])
@@ -78,11 +79,9 @@ def sps_attack(
 
     # Remove the candidate's key-fed fan-in cone and bypass the integration
     # XOR(s) it feeds, then drop the key inputs.
-    to_remove: Set[str] = {
-        g
-        for g in fanin_cone(locked, candidate, include_start=True)
-        if has_key_input_in_fanin(locked, g)
-    }
+    to_remove: Set[str] = fanin_cone(locked, candidate, include_start=True) & set(
+        key_cone(locked)
+    )
     labels = {g: ("AN" if g in to_remove else "DN") for g in locked.gate_names()}
     for sink in locked.fanout_of(candidate):
         cell = locked.gate(sink).cell.name

@@ -26,6 +26,7 @@ from .traversal import (
     fanout_cone,
     gate_levels,
     has_key_input_in_fanin,
+    key_cone,
     key_inputs_in_fanin,
     output_cone,
     primary_inputs_in_fanin,
@@ -64,6 +65,7 @@ __all__ = [
     "fanout_cone",
     "transitive_inputs",
     "primary_inputs_in_fanin",
+    "key_cone",
     "key_inputs_in_fanin",
     "has_key_input_in_fanin",
     "gate_levels",

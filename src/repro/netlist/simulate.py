@@ -3,11 +3,13 @@
 Each net is evaluated as a numpy bool vector with one entry per pattern,
 gate by gate in topological order.
 
-In the attack pipeline the oracle-guided SAT attack simulates one
-distinguishing input pattern at a time to query its "oracle", and cyclic
-locking simulates a 32-pattern signature block.  SPS uses COP-style
-probability propagation and FALL uses SAT, so neither simulates.  The other
-callers are the opt-in ``method="exhaustive"`` equivalence check and
+In the attack pipeline the oracle-guided SAT attack simulates each
+distinguishing input pattern twice: on the original circuit to query its
+"oracle", and on the locked circuit to fix every key-independent net before
+it encodes the key cone.  Cyclic locking simulates a 32-pattern signature
+block.  SPS uses COP-style probability propagation and FALL uses SAT, so
+neither simulates.  The other callers are the opt-in ``method="exhaustive"``
+equivalence check and
 :func:`~repro.netlist.signal_probability.estimate_probabilities_simulation`.
 """
 

@@ -14,6 +14,7 @@ from .circuit import Circuit
 __all__ = [
     "fanin_cone",
     "fanout_cone",
+    "key_cone",
     "transitive_inputs",
     "has_key_input_in_fanin",
     "primary_inputs_in_fanin",
@@ -63,6 +64,27 @@ def fanout_cone(circuit: Circuit, net: str, *, include_start: bool = True) -> Se
     elif not include_start:
         seen.discard(net)
     return seen
+
+
+def key_cone(circuit: Circuit) -> List[str]:
+    """Gates in the transitive fan-out of any key input, in topological order.
+
+    One multi-source walk over a single :meth:`Circuit.fanout_map`, so the
+    cost is linear in the netlist however many key inputs there are.  A net
+    has a key input in its fan-in exactly when it is a key input or a gate
+    of this cone, which makes the cone the bulk form of
+    :func:`has_key_input_in_fanin`.
+    """
+    fanout = circuit.fanout_map()
+    seen: Set[str] = set()
+    stack: List[str] = [g for ki in circuit.key_inputs for g in fanout.get(ki, ())]
+    while stack:
+        current = stack.pop()
+        if current in seen:
+            continue
+        seen.add(current)
+        stack.extend(fanout.get(current, ()))
+    return [name for name in circuit.topological_order() if name in seen]
 
 
 def transitive_inputs(circuit: Circuit, net: str) -> Set[str]:

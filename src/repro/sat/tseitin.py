@@ -61,11 +61,16 @@ class CircuitEncoder:
             out_var = share_nets.get(name, self.net_var(name, prefix))
             var_of[name] = out_var
             in_vars = [var_of[n] for n in gate.inputs]
-            self._encode_gate(gate, out_var, in_vars)
+            self.encode_gate(gate, out_var, in_vars)
         return var_of
 
     # ------------------------------------------------------------------
-    def _encode_gate(self, gate: Gate, out: int, ins: List[int]) -> None:
+    def encode_gate(self, gate: Gate, out: int, ins: List[int]) -> None:
+        """Add the clauses tying variable ``out`` to ``gate``'s function of ``ins``.
+
+        ``ins`` holds one literal per gate input pin; a negative literal
+        feeds the complement of its variable.
+        """
         name = gate.cell.name
         add = self.cnf.add_clause
         if name in ("NOT", "INV"):

@@ -57,3 +57,23 @@ def ttlock_locked(small_random_circuit, rng):
 @pytest.fixture
 def sfll_hd2_locked(small_random_circuit, rng):
     return SfllHdLocking(8, 2).lock(small_random_circuit, rng=rng)
+
+
+@pytest.fixture(scope="session")
+def matrix_families():
+    """Scheme name -> the c2670, K=8 instance of each capability-matrix family.
+
+    The instances the standing matrix attacks: one locking seed, each family
+    in its matrix technology (GEN65 for TTLock and SFLL-HD, BENCH8 for the
+    rest).
+    """
+    from repro.runner import matrix_campaign
+
+    spec = matrix_campaign(targets=("c2670",), key_sizes=(8,), attacks=("sat",))
+    families = {}
+    for task in spec.expand():
+        (instance,) = [
+            inst for inst in task.dataset.generate() if inst.benchmark == "c2670"
+        ]
+        families[task.dataset.scheme] = instance.result
+    return families
