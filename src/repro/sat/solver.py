@@ -154,8 +154,14 @@ class SatSolver:
             else:
                 self.clauses.append(clause)
 
+
         size = self.n_vars + 1
-        self.assignment: List[Optional[bool]] = [None] * size
+        #: Literal values indexed by literal: ``_lv[lit]`` is True, False or
+        #: None (unassigned).  A negative literal indexes from the end, so
+        #: ``_lv[v]`` and ``_lv[-v]`` are a variable's two polarities.  The
+        #: capacity doubles in :meth:`_ensure_var`, which moves the negative
+        #: half to the new end.
+        self._lv: List[Optional[bool]] = [None] * (2 * size - 1)
         self.level: List[int] = [0] * size
         self.reason: List[Optional[int]] = [None] * size
         self.activity: List[float] = [0.0] * size
@@ -190,41 +196,37 @@ class SatSolver:
     def _watch(self, lit: int, clause_idx: int) -> None:
         self.watches.setdefault(lit, []).append(clause_idx)
 
-    def _lit_value(self, lit: int) -> Optional[bool]:
-        val = self.assignment[abs(lit)]
-        if val is None:
-            return None
-        return val if lit > 0 else not val
-
     def _enqueue(self, lit: int, reason: Optional[int]) -> bool:
         """Assign ``lit`` true; returns False if it is already false."""
-        current = self._lit_value(lit)
+        lv = self._lv
+        current = lv[lit]
         if current is not None:
             return current
-        var = abs(lit)
-        self.assignment[var] = lit > 0
+        lv[lit] = True
+        lv[-lit] = False
+        var = lit if lit > 0 else -lit
         self.level[var] = len(self.trail_lim)
         self.reason[var] = reason
         self.trail.append(lit)
         return True
 
-    def _decision_level(self) -> int:
-        return len(self.trail_lim)
-
     def _ensure_var(self, var: int) -> None:
         """Grow the per-variable arrays so ``var`` is addressable."""
-        if var < len(self.assignment):
-            self.n_vars = max(self.n_vars, var)
+        if var <= self.n_vars:
             return
-        grow = var + 1 - len(self.assignment)
-        self.assignment.extend([None] * grow)
+        grow = var - self.n_vars
         self.level.extend([0] * grow)
         self.reason.extend([None] * grow)
         self.activity.extend([0.0] * grow)
         self.phase.extend([False] * grow)
-        for new_var in range(var + 1 - grow, var + 1):
+        for new_var in range(self.n_vars + 1, var + 1):
             heapq.heappush(self._order, (-0.0, new_var))
-        self.n_vars = max(self.n_vars, var)
+        self.n_vars = var
+        lv = self._lv
+        cap = len(lv) // 2
+        if var > cap:
+            new_cap = max(var, 2 * cap)
+            self._lv = lv[: cap + 1] + [None] * (2 * (new_cap - cap)) + lv[cap + 1 :]
 
     def set_phase_seed(self, seed: int) -> None:
         """Re-randomise the decision phases (model diversification knob).
@@ -236,7 +238,7 @@ class SatSolver:
         import random
 
         rng = random.Random(seed)
-        self.phase = [rng.random() < 0.5 for _ in range(len(self.assignment))]
+        self.phase = [rng.random() < 0.5 for _ in range(self.n_vars + 1)]
 
     # ------------------------------------------------------------------
     # Incremental clause interface
@@ -263,9 +265,10 @@ class SatSolver:
             self._ensure_var(abs(lit))
         if any(-lit in clause for lit in clause):
             return  # tautology
+        lv = self._lv
         reduced: List[int] = []
         for lit in clause:
-            val = self._lit_value(lit)
+            val = lv[lit]
             if val is True:
                 return  # satisfied at level 0 forever
             if val is False:
@@ -301,132 +304,183 @@ class SatSolver:
     # ------------------------------------------------------------------
     def _propagate(self) -> Optional[int]:
         """Propagate pending assignments; returns a conflicting clause index."""
-        while self.qhead < len(self.trail):
-            lit = self.trail[self.qhead]
-            self.qhead += 1
-            self.propagations += 1
-            false_lit = -lit
-            watching = self.watches.get(false_lit, [])
+        trail = self.trail
+        lv = self._lv
+        clauses = self.clauses
+        watches = self.watches
+        level = self.level
+        reason = self.reason
+        decision_level = len(self.trail_lim)
+        qhead = self.qhead
+        start = qhead
+        conflict: Optional[int] = None
+        while qhead < len(trail):
+            false_lit = -trail[qhead]
+            qhead += 1
+            watching = watches.get(false_lit)
+            if not watching:
+                continue
             kept: List[int] = []
             i = 0
             n = len(watching)
             while i < n:
                 clause_idx = watching[i]
                 i += 1
-                clause = self.clauses[clause_idx]
-                if clause[0] == false_lit:
-                    clause[0], clause[1] = clause[1], clause[0]
+                clause = clauses[clause_idx]
                 first = clause[0]
-                if self._lit_value(first) is True:
+                if first == false_lit:
+                    first = clause[1]
+                    clause[0] = first
+                    clause[1] = false_lit
+                if lv[first]:
                     kept.append(clause_idx)
                     continue
-                moved = False
                 for k in range(2, len(clause)):
-                    if self._lit_value(clause[k]) is not False:
-                        clause[1], clause[k] = clause[k], clause[1]
-                        self._watch(clause[1], clause_idx)
-                        moved = True
+                    lit = clause[k]
+                    if lv[lit] is not False:
+                        clause[1] = lit
+                        clause[k] = false_lit
+                        if lit in watches:
+                            watches[lit].append(clause_idx)
+                        else:
+                            watches[lit] = [clause_idx]
                         break
-                if moved:
-                    continue
-                kept.append(clause_idx)
-                if self._lit_value(first) is False:
-                    kept.extend(watching[i:])
-                    self.watches[false_lit] = kept
-                    return clause_idx
-                self._enqueue(first, clause_idx)
-            self.watches[false_lit] = kept
-        return None
+                else:
+                    kept.append(clause_idx)
+                    if lv[first] is False:
+                        kept.extend(watching[i:])
+                        conflict = clause_idx
+                        break
+                    lv[first] = True
+                    lv[-first] = False
+                    var = first if first > 0 else -first
+                    level[var] = decision_level
+                    reason[var] = clause_idx
+                    trail.append(first)
+            watches[false_lit] = kept
+            if conflict is not None:
+                break
+        self.propagations += qhead - start
+        self.qhead = qhead
+        return conflict
 
     # ------------------------------------------------------------------
     # Conflict analysis (first UIP)
     # ------------------------------------------------------------------
-    def _bump(self, var: int) -> None:
-        self.activity[var] += self.var_inc
-        if self.activity[var] > 1e100:
-            for v in range(1, self.n_vars + 1):
-                self.activity[v] *= 1e-100
-            self.var_inc *= 1e-100
-            self._rebuild_order()
-        elif self.assignment[var] is None:
-            heapq.heappush(self._order, (-self.activity[var], var))
+    def _rescale_activity(self) -> None:
+        """Scale every activity down by 1e-100 once one crosses 1e100."""
+        activity = self.activity
+        for v in range(1, self.n_vars + 1):
+            activity[v] *= 1e-100
+        self.var_inc *= 1e-100
+        self._rebuild_order()
 
     def _analyze(self, conflict_idx: int) -> Tuple[List[int], int]:
         """First-UIP conflict analysis; returns (learned clause, backjump level).
 
-        The asserting literal is placed first in the learned clause.
+        The asserting literal is placed first in the learned clause.  Every
+        variable met is bumped; all of them are assigned, so none needs a
+        fresh decision-heap entry (:meth:`_cancel_until` pushes one when it
+        unassigns the variable).
         """
-        current_level = self._decision_level()
+        level = self.level
+        reason = self.reason
+        trail = self.trail
+        clauses = self.clauses
+        activity = self.activity
+        inc = self.var_inc
+        current_level = len(self.trail_lim)
         learned_tail: List[int] = []
+        back_level = 0
         seen = [False] * (self.n_vars + 1)
         counter = 0
-        resolve_lit: Optional[int] = None
-        clause: List[int] = self.clauses[conflict_idx]
-        trail_idx = len(self.trail) - 1
+        resolve_lit = 0
+        clause: List[int] = clauses[conflict_idx]
+        trail_idx = len(trail) - 1
 
         while True:
             for q in clause:
-                if resolve_lit is not None and q == resolve_lit:
+                if q == resolve_lit:
                     continue
-                var = abs(q)
-                if seen[var] or self.level[var] == 0:
+                var = q if q > 0 else -q
+                if seen[var]:
+                    continue
+                lit_level = level[var]
+                if lit_level == 0:
                     continue
                 seen[var] = True
-                self._bump(var)
-                if self.level[var] >= current_level:
+                bumped = activity[var] + inc
+                activity[var] = bumped
+                if bumped > 1e100:
+                    self._rescale_activity()
+                    inc = self.var_inc
+                if lit_level >= current_level:
                     counter += 1
                 else:
                     learned_tail.append(q)
-            while not seen[abs(self.trail[trail_idx])]:
+                    if lit_level > back_level:
+                        back_level = lit_level
+            lit = trail[trail_idx]
+            while not seen[lit if lit > 0 else -lit]:
                 trail_idx -= 1
-            resolve_lit = self.trail[trail_idx]
-            var = abs(resolve_lit)
+                lit = trail[trail_idx]
+            resolve_lit = lit
+            var = lit if lit > 0 else -lit
             seen[var] = False
             counter -= 1
             trail_idx -= 1
             if counter == 0:
                 break
-            reason_idx = self.reason[var]
+            reason_idx = reason[var]
             assert reason_idx is not None, "resolving on a decision before UIP"
-            clause = self.clauses[reason_idx]
+            clause = clauses[reason_idx]
 
-        learned = [-resolve_lit] + learned_tail
-        if len(learned) == 1:
-            return learned, 0
-        back_level = max(self.level[abs(l)] for l in learned_tail)
-        return learned, back_level
+        return [-resolve_lit] + learned_tail, back_level
 
     # ------------------------------------------------------------------
     # Backtracking
     # ------------------------------------------------------------------
     def _cancel_until(self, level: int) -> None:
-        if self._decision_level() <= level:
+        trail_lim = self.trail_lim
+        if len(trail_lim) <= level:
             return
-        limit = self.trail_lim[level]
+        trail = self.trail
+        limit = trail_lim[level]
+        lv = self._lv
+        phase = self.phase
+        activity = self.activity
         order = self._order
-        for lit in reversed(self.trail[limit:]):
-            var = abs(lit)
-            self.phase[var] = bool(self.assignment[var])
-            self.assignment[var] = None
-            self.reason[var] = None
-            heapq.heappush(order, (-self.activity[var], var))
-        del self.trail[limit:]
-        del self.trail_lim[level:]
-        self.qhead = min(self.qhead, len(self.trail))
+        push = heapq.heappush
+        for i in range(len(trail) - 1, limit - 1, -1):
+            lit = trail[i]
+            lv[lit] = None
+            lv[-lit] = None
+            if lit > 0:
+                var = lit
+                phase[var] = True
+            else:
+                var = -lit
+                phase[var] = False
+            push(order, (-activity[var], var))
+        del trail[limit:]
+        del trail_lim[level:]
+        if self.qhead > limit:
+            self.qhead = limit
 
-    def _add_learned(self, learned: List[int]) -> None:
+    def _add_learned(self, learned: List[int], back_level: int) -> None:
         """Record a learned clause and enqueue its asserting literal."""
         if len(learned) == 1:
             self._enqueue(learned[0], None)
             return
         # Watch the asserting literal and a literal from the backjump level.
+        level = self.level
         idx = len(self.clauses)
-        back_level = max(self.level[abs(l)] for l in learned[1:])
         for k in range(1, len(learned)):
-            if self.level[abs(learned[k])] == back_level:
-                learned[1], learned[k] = learned[k], learned[1]
+            lit = learned[k]
+            if level[lit if lit > 0 else -lit] == back_level:
+                learned[1], learned[k] = lit, learned[1]
                 break
-        self.clauses.append(list(learned))
+        self.clauses.append(learned)
         self._watch(learned[0], idx)
         self._watch(learned[1], idx)
         self._enqueue(learned[0], idx)
@@ -436,10 +490,10 @@ class SatSolver:
     # ------------------------------------------------------------------
     def _rebuild_order(self) -> None:
         """Re-key the decision heap on every unassigned variable."""
+        lv = self._lv
+        activity = self.activity
         self._order = [
-            (-self.activity[v], v)
-            for v in range(1, self.n_vars + 1)
-            if self.assignment[v] is None
+            (-activity[v], v) for v in range(1, self.n_vars + 1) if lv[v] is None
         ]
         heapq.heapify(self._order)
 
@@ -448,9 +502,12 @@ class SatSolver:
         if len(self._order) > 4 * self.n_vars:
             self._rebuild_order()
         order = self._order
+        lv = self._lv
+        activity = self.activity
+        pop = heapq.heappop
         while order:
-            neg_act, var = heapq.heappop(order)
-            if self.assignment[var] is None and -neg_act == self.activity[var]:
+            neg_act, var = pop(order)
+            if lv[var] is None and -neg_act == activity[var]:
                 return var
         return None
 
@@ -502,6 +559,13 @@ class SatSolver:
                     return self._result(False)
             self._pending_units = []
 
+        lv = self._lv
+        trail = self.trail
+        trail_lim = self.trail_lim
+        level = self.level
+        reason = self.reason
+        phase = self.phase
+        n_assume = len(assume)
         start_conflicts = self.conflicts
         restart_idx = 1
         restart_budget = 64 * _luby(restart_idx)
@@ -520,14 +584,14 @@ class SatSolver:
                     raise ConflictBudgetExceeded(
                         max_conflicts, self.conflicts - start_conflicts
                     )
-                if self._decision_level() == 0:
+                if not trail_lim:
                     # Conflict independent of any decision or assumption: the
                     # formula itself is unsatisfiable, now and forever.
                     self._unsat_on_input = True
                     return self._result(False)
                 learned, back_level = self._analyze(conflict_idx)
                 self._cancel_until(back_level)
-                self._add_learned(learned)
+                self._add_learned(learned, back_level)
                 self.var_inc /= self.var_decay
                 continue
 
@@ -540,14 +604,14 @@ class SatSolver:
 
             # Decide the next unassigned assumption first (in order); fall
             # back to the activity heuristic once all assumptions hold.
-            next_lit: Optional[int] = None
-            while self._decision_level() < len(assume):
-                lit = assume[self._decision_level()]
-                val = self._lit_value(lit)
+            next_lit = 0
+            while len(trail_lim) < n_assume:
+                lit = assume[len(trail_lim)]
+                val = lv[lit]
                 if val is True:
                     # Already implied: open an empty level so assumption i
                     # stays pinned to decision level i+1.
-                    self.trail_lim.append(len(self.trail))
+                    trail_lim.append(len(trail))
                 elif val is False:
                     # The formula (plus earlier assumptions) forces the
                     # negation of this assumption: UNSAT under assumptions.
@@ -557,24 +621,28 @@ class SatSolver:
                 else:
                     next_lit = lit
                     break
-            if next_lit is None:
+            if not next_lit:
                 var = self._pick_branch_var()
                 if var is None:
                     result = self._result(True)
                     self._cancel_until(0)
                     return result
-                next_lit = var if self.phase[var] else -var
+                next_lit = var if phase[var] else -var
             self.decisions += 1
-            self.trail_lim.append(len(self.trail))
-            self._enqueue(next_lit, None)
+            trail_lim.append(len(trail))
+            lv[next_lit] = True
+            lv[-next_lit] = False
+            var = next_lit if next_lit > 0 else -next_lit
+            level[var] = len(trail_lim)
+            reason[var] = None
+            trail.append(next_lit)
 
     def _result(self, satisfiable: bool) -> SatResult:
         assignment: Dict[int, bool] = {}
         if satisfiable:
+            lv = self._lv
             assignment = {
-                v: bool(self.assignment[v])
-                for v in range(1, self.n_vars + 1)
-                if self.assignment[v] is not None
+                v: lv[v] for v in range(1, self.n_vars + 1) if lv[v] is not None
             }
         return SatResult(
             satisfiable, assignment, self.conflicts, self.decisions,

@@ -24,7 +24,7 @@ class ScanCheckedSolver(SatSolver):
         best_var = None
         best_act = -1.0
         for var in range(1, self.n_vars + 1):
-            if self.assignment[var] is None and self.activity[var] > best_act:
+            if self._lv[var] is None and self.activity[var] > best_act:
                 best_var = var
                 best_act = self.activity[var]
         return best_var
