@@ -166,14 +166,21 @@ class SatSolver:
         self.reason: List[Optional[int]] = [None] * size
         self.activity: List[float] = [0.0] * size
         self.phase: List[bool] = [False] * size
+        #: ``_occurs[v]``: variable ``v`` occurs in a watched clause.  Only
+        #: such variables are decided; any other one is reported in the
+        #: model at its saved phase (deciding it would propagate nothing).
+        self._occurs: List[bool] = [False] * size
+        for clause in self.clauses:
+            for lit in clause:
+                self._occurs[abs(lit)] = True
         self.trail: List[int] = []
         self.trail_lim: List[int] = []
         self.qhead = 0
         self.var_inc = 1.0
         self.var_decay = 0.95
         #: Decision order: ``(-activity, var)`` entries with lazy deletion.
-        #: Every unassigned variable has an entry keyed on its current
-        #: activity; entries of assigned variables and stale keys are
+        #: Every unassigned variable that occurs in a watched clause has an
+        #: entry keyed on its current activity; entries of assigned variables and stale keys are
         #: discarded when they reach the top.
         self._order: List[Tuple[float, int]] = []
         self._rebuild_order()
@@ -219,8 +226,7 @@ class SatSolver:
         self.reason.extend([None] * grow)
         self.activity.extend([0.0] * grow)
         self.phase.extend([False] * grow)
-        for new_var in range(self.n_vars + 1, var + 1):
-            heapq.heappush(self._order, (-0.0, new_var))
+        self._occurs.extend([False] * grow)
         self.n_vars = var
         lv = self._lv
         cap = len(lv) // 2
@@ -259,8 +265,8 @@ class SatSolver:
             self._unsat_on_input = True
             return
         # Register every variable before any early return, so a variable
-        # met only in a dropped tautology is still decided and has a value
-        # in the model, as it would had the clause been in the CNF.
+        # met only in a dropped clause still has a value (its phase) in the
+        # model, as it would had the clause been in the CNF.
         for lit in clause:
             self._ensure_var(abs(lit))
         if any(-lit in clause for lit in clause):
@@ -285,6 +291,14 @@ class SatSolver:
         self.clauses.append(reduced)
         self._watch(reduced[0], idx)
         self._watch(reduced[1], idx)
+        occurs = self._occurs
+        for lit in reduced:
+            var = lit if lit > 0 else -lit
+            if not occurs[var]:
+                # Level 0 is all that is assigned here, and ``reduced`` holds
+                # no assigned literal: the variable becomes decidable.
+                occurs[var] = True
+                heapq.heappush(self._order, (-self.activity[var], var))
 
     def attach_new_clauses(self, cnf: CNF) -> int:
         """Ingest clauses appended to ``cnf`` since the last snapshot.
@@ -449,6 +463,7 @@ class SatSolver:
         lv = self._lv
         phase = self.phase
         activity = self.activity
+        occurs = self._occurs
         order = self._order
         push = heapq.heappush
         for i in range(len(trail) - 1, limit - 1, -1):
@@ -461,7 +476,8 @@ class SatSolver:
             else:
                 var = -lit
                 phase[var] = False
-            push(order, (-activity[var], var))
+            if occurs[var]:
+                push(order, (-activity[var], var))
         del trail[limit:]
         del trail_lim[level:]
         if self.qhead > limit:
@@ -489,16 +505,22 @@ class SatSolver:
     # Decision heuristic
     # ------------------------------------------------------------------
     def _rebuild_order(self) -> None:
-        """Re-key the decision heap on every unassigned variable."""
+        """Re-key the decision heap on every decidable unassigned variable."""
         lv = self._lv
         activity = self.activity
+        occurs = self._occurs
         self._order = [
-            (-activity[v], v) for v in range(1, self.n_vars + 1) if lv[v] is None
+            (-activity[v], v)
+            for v in range(1, self.n_vars + 1)
+            if lv[v] is None and occurs[v]
         ]
         heapq.heapify(self._order)
 
     def _pick_branch_var(self) -> Optional[int]:
-        """The unassigned variable of highest activity, lowest index on ties."""
+        """The unassigned variable of highest activity, lowest index on ties.
+
+        Only variables that occur in a watched clause are candidates.
+        """
         if len(self._order) > 4 * self.n_vars:
             self._rebuild_order()
         order = self._order
@@ -640,9 +662,13 @@ class SatSolver:
     def _result(self, satisfiable: bool) -> SatResult:
         assignment: Dict[int, bool] = {}
         if satisfiable:
+            # Total model: a variable left undecided occurs in no watched
+            # clause, so its saved phase satisfies the formula too.
             lv = self._lv
+            phase = self.phase
             assignment = {
-                v: lv[v] for v in range(1, self.n_vars + 1) if lv[v] is not None
+                v: phase[v] if lv[v] is None else lv[v]
+                for v in range(1, self.n_vars + 1)
             }
         return SatResult(
             satisfiable, assignment, self.conflicts, self.decisions,
