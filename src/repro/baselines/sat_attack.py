@@ -38,6 +38,12 @@ longer adds, watches and propagates them on every DIP, nor decides the unused
 input variables a full copy registers.  On the capability matrix the search
 makes the same conflicts and finds the same DIPs as with full copies; only
 decisions and propagations fall.
+
+The miter's two copies still register an ``A::``/``B::`` name for every
+input they share, and a primary input no gate reads has a ``dip::`` variable
+in no clause.  The solver never decides such a variable; its value in the
+(total) model is its saved phase, so DIPs and keys decode the same way for
+every input.
 """
 
 from __future__ import annotations
@@ -65,6 +71,11 @@ def sat_attack(
     verify: bool = True,
 ) -> BaselineResult:
     """Run the oracle-guided SAT attack on a locked circuit.
+
+    With ``verify``, the recovered key is checked with
+    :func:`~repro.sat.equivalence.check_equivalence`, whose structural fast
+    path folds the key bits as constants: XOR- and MUX-style key gates under
+    a correct key are proven without a SAT miter.
 
     ``statistics`` reports the DIP count and the encoding size: the static
     key cone (``cone_gates``) and the gates encoded for it, summed over every

@@ -5,7 +5,9 @@ This replaces the external SAT engines the paper's toolchain relies on
 attack, and the classic oracle-guided SAT attack we provide as an extra
 baseline).  It implements the standard conflict-driven clause-learning loop:
 
-* two-watched-literal unit propagation,
+* two-watched-literal unit propagation over literal values kept in one list
+  indexed by literal (a negative literal indexes from the end), so the watch
+  loop reads a value with one index and no ``abs()``,
 * 1-UIP conflict analysis with clause learning,
 * non-chronological backjumping,
 * activity-based (VSIDS-style) decision heuristic with decay: the next
@@ -14,6 +16,14 @@ baseline).  It implements the standard conflict-driven clause-learning loop:
   MiniSat) so a decision costs O(log n) instead of a scan over every variable,
 * Luby-sequence restarts,
 * phase saving.
+
+Only variables that occur in a watched clause are ever decided.  A variable
+in no clause of two or more literals (an input name a Tseitin copy
+registers but no gate reads, or one met only in a dropped tautology) would
+propagate nothing when decided, so it takes its saved phase in the model
+instead, which is the value a decision would have given it.  Models stay
+total, and the search on the remaining variables is the one a solver
+deciding every variable makes.
 
 It is not competitive with MiniSat, but it is exact, dependency-free and fast
 enough for the miters produced by the scaled benchmark circuits used here.
@@ -82,8 +92,10 @@ class SatResult:
     def value(self, var: int) -> bool:
         """Value of a variable in the satisfying assignment.
 
-        Raises :class:`ValueError` for a variable the model leaves free (or on
-        an UNSAT result, where every variable is free) — callers decoding key
+        A satisfying model is total: every variable the solver knows has a
+        value (one that occurs in no clause has its saved phase).  Raises
+        :class:`ValueError` for a variable outside the solver's range, or on
+        an UNSAT result, where every variable is free — callers decoding key
         bits must not mistake a free variable for a 0 bit.  Use
         :meth:`is_assigned` / :meth:`value_or` when a free variable is an
         expected outcome.
@@ -91,7 +103,7 @@ class SatResult:
         try:
             return self.assignment[var]
         except KeyError:
-            state = "free in this model" if self.satisfiable else "unassigned (UNSAT result)"
+            state = "outside this model" if self.satisfiable else "unassigned (UNSAT result)"
             raise ValueError(f"variable {var} is {state}") from None
 
     def value_or(self, var: int, default: bool = False) -> bool:
@@ -180,8 +192,8 @@ class SatSolver:
         self.var_decay = 0.95
         #: Decision order: ``(-activity, var)`` entries with lazy deletion.
         #: Every unassigned variable that occurs in a watched clause has an
-        #: entry keyed on its current activity; entries of assigned variables and stale keys are
-        #: discarded when they reach the top.
+        #: entry keyed on its current activity; entries of assigned
+        #: variables and stale keys are discarded when they reach the top.
         self._order: List[Tuple[float, int]] = []
         self._rebuild_order()
         if phase_seed is not None:

@@ -49,7 +49,9 @@ class CircuitEncoder:
         tie the primary inputs of two miter halves together).  The
         ``dict.get`` default is evaluated eagerly, so ``prefix + net`` is
         registered even for a shared net; the variable numbering (pinned by
-        golden digests) depends on it.
+        golden digests) depends on it.  Such a name stays in no clause, and
+        :class:`~repro.sat.solver.SatSolver` never decides a variable that
+        occurs in no clause, so it costs the search nothing.
         """
         var_of: Dict[str, int] = {}
         share_nets = share_nets or {}
