@@ -166,7 +166,6 @@ class SatSolver:
             else:
                 self.clauses.append(clause)
 
-
         size = self.n_vars + 1
         #: Literal values indexed by literal: ``_lv[lit]`` is True, False or
         #: None (unassigned).  A negative literal indexes from the end, so

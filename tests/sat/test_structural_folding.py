@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.benchgen import RandomLogicSpec, generate_random_circuit, get_benchmark
 from repro.locking import RandomXorLocking
-from repro.netlist import BENCH8, Circuit
+from repro.netlist import BENCH8, GEN65, Circuit
 from repro.sat import check_equivalence, structurally_equivalent
 from repro.synth import SynthesisOptions, synthesize_locked
 
@@ -197,8 +197,6 @@ def test_folding_rules():
 
 
 def test_complex_cells_are_hashed_but_not_folded():
-    from repro.netlist import GEN65
-
     def mux(select_net):
         circuit = Circuit("m", GEN65)
         for net in ("a", "b", "k"):
