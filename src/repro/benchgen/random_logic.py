@@ -151,9 +151,12 @@ def _pick_inputs(
 
     Recent nets are preferred (geometric-ish bias towards the end of
     ``available``) but primary inputs stay reachable throughout, giving
-    shallow, wide circuits similar to the ISCAS/ITC profiles.
+    shallow, wide circuits similar to the ISCAS/ITC profiles.  A fan-in
+    larger than ``available`` is clamped to it (the first gates of a design
+    with fewer primary inputs than ``max_fanin``).
     """
     n = len(available)
+    fanin = min(fanin, n)
     chosen: List[str] = []
     attempts = 0
     while len(chosen) < fanin and attempts < 50 * fanin:

@@ -30,6 +30,7 @@ from .traversal import (
     key_inputs_in_fanin,
     output_cone,
     primary_inputs_in_fanin,
+    support_bitsets,
     transitive_inputs,
 )
 from .validate import ValidationReport, check_circuit, validate_circuit
@@ -64,6 +65,7 @@ __all__ = [
     "fanin_cone",
     "fanout_cone",
     "transitive_inputs",
+    "support_bitsets",
     "primary_inputs_in_fanin",
     "key_cone",
     "key_inputs_in_fanin",

@@ -13,7 +13,8 @@ connectivity is recorded per gate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .gates import BENCH8, CellLibrary, CellType
 
@@ -70,6 +71,30 @@ class Circuit:
         self._outputs: List[str] = []
         self._gates: Dict[str, Gate] = {}
         self._topo_cache: Optional[List[str]] = None
+        self._index_ports()
+
+    def _index_ports(self) -> None:
+        """(Re)build the port membership sets from the port lists.
+
+        The sets answer :meth:`is_input`, :meth:`is_key_input`,
+        :meth:`is_output` and :meth:`net_exists` in O(1).  Only the port
+        mutators keep them current; gate edits never touch them.
+        """
+        self._input_set: Set[str] = set(self._inputs)
+        self._key_set: Set[str] = set(self._key_inputs)
+        self._output_set: Set[str] = set(self._outputs)
+
+    def __getstate__(self) -> Dict[str, object]:
+        # The membership sets are derived from the port lists; pickles carry
+        # the lists alone, as they always have.
+        state = dict(self.__dict__)
+        for derived in ("_input_set", "_key_set", "_output_set"):
+            del state[derived]
+        return state
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        self.__dict__.update(state)
+        self._index_ports()
 
     # ------------------------------------------------------------------
     # Construction
@@ -78,19 +103,22 @@ class Circuit:
         """Declare a primary input net."""
         self._check_new_net(name)
         self._inputs.append(name)
+        self._input_set.add(name)
         self._invalidate()
 
     def add_key_input(self, name: str) -> None:
         """Declare a key input net (a locking key bit)."""
         self._check_new_net(name)
         self._key_inputs.append(name)
+        self._key_set.add(name)
         self._invalidate()
 
     def add_output(self, name: str) -> None:
         """Declare a primary output.  The net must eventually be driven."""
-        if name in self._outputs:
+        if name in self._output_set:
             raise CircuitError(f"output {name} already declared")
         self._outputs.append(name)
+        self._output_set.add(name)
         self._invalidate()
 
     def add_gate(self, name: str, cell: str | CellType, inputs: Sequence[str]) -> Gate:
@@ -121,6 +149,8 @@ class Circuit:
             self._outputs.remove(name)
         except ValueError:
             raise CircuitError(f"no output named {name}") from None
+        if name not in self._outputs:  # a rename can leave a duplicate
+            self._output_set.discard(name)
         self._invalidate()
 
     def remove_key_input(self, name: str) -> None:
@@ -128,6 +158,7 @@ class Circuit:
             self._key_inputs.remove(name)
         except ValueError:
             raise CircuitError(f"no key input named {name}") from None
+        self._key_set.discard(name)
         self._invalidate()
 
     def rename_net(self, old: str, new: str) -> None:
@@ -145,6 +176,7 @@ class Circuit:
         self._inputs = [new if n == old else n for n in self._inputs]
         self._key_inputs = [new if n == old else n for n in self._key_inputs]
         self._outputs = [new if n == old else n for n in self._outputs]
+        self._index_ports()
         self._invalidate()
 
     def replace_gate_input(self, gate_name: str, old: str, new: str) -> None:
@@ -191,10 +223,16 @@ class Circuit:
     def gates(self) -> Dict[str, Gate]:
         """Fresh O(n) copy of the net name -> driving gate mapping.
 
-        Every read copies all gates; per-gate loops should use :meth:`gate`,
-        :meth:`has_gate` or one :meth:`fanout_map` instead.
+        Every read copies all gates.  To read gates without a copy use
+        :meth:`gate_view` (a read-only live mapping), :meth:`gate`,
+        :meth:`has_gate`, iteration over the circuit, or one
+        :meth:`fanout_map` for sinks.
         """
         return dict(self._gates)
+
+    def gate_view(self) -> Mapping[str, Gate]:
+        """Read-only live view of the net name -> driving gate mapping (no copy)."""
+        return MappingProxyType(self._gates)
 
     def gate(self, name: str) -> Gate:
         try:
@@ -209,19 +247,19 @@ class Circuit:
         return tuple(self._gates)
 
     def is_input(self, net: str) -> bool:
-        return net in self._inputs
+        return net in self._input_set
 
     def is_key_input(self, net: str) -> bool:
-        return net in self._key_inputs
+        return net in self._key_set
 
     def is_output(self, net: str) -> bool:
-        return net in self._outputs
+        return net in self._output_set
 
     def net_exists(self, net: str) -> bool:
         return (
             net in self._gates
-            or net in self._inputs
-            or net in self._key_inputs
+            or net in self._input_set
+            or net in self._key_set
         )
 
     def __len__(self) -> int:
@@ -307,16 +345,17 @@ class Circuit:
         other._key_inputs = list(self._key_inputs)
         other._outputs = list(self._outputs)
         other._gates = dict(self._gates)
+        other._index_ports()
         return other
 
     def fresh_net_name(self, prefix: str) -> str:
         """Return a net name with ``prefix`` that does not collide."""
-        if not self.net_exists(prefix) and prefix not in self._outputs:
+        if not self.net_exists(prefix) and prefix not in self._output_set:
             return prefix
         i = 0
         while True:
             candidate = f"{prefix}_{i}"
-            if not self.net_exists(candidate) and candidate not in self._outputs:
+            if not self.net_exists(candidate) and candidate not in self._output_set:
                 return candidate
             i += 1
 

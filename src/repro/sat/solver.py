@@ -194,6 +194,10 @@ class SatSolver:
         #: entry keyed on its current activity; entries of assigned
         #: variables and stale keys are discarded when they reach the top.
         self._order: List[Tuple[float, int]] = []
+        #: ``_queued[v]``: the activity of ``v``'s newest heap entry, or None
+        #: once that entry has been popped.  An entry equal to the one a push
+        #: would add is never pushed twice.
+        self._queued: List[Optional[float]] = [None] * size
         self._rebuild_order()
         if phase_seed is not None:
             self.set_phase_seed(phase_seed)
@@ -238,6 +242,7 @@ class SatSolver:
         self.activity.extend([0.0] * grow)
         self.phase.extend([False] * grow)
         self._occurs.extend([False] * grow)
+        self._queued.extend([None] * grow)
         self.n_vars = var
         lv = self._lv
         cap = len(lv) // 2
@@ -309,7 +314,9 @@ class SatSolver:
                 # Level 0 is all that is assigned here, and ``reduced`` holds
                 # no assigned literal: the variable becomes decidable.
                 occurs[var] = True
-                heapq.heappush(self._order, (-self.activity[var], var))
+                act = self.activity[var]
+                self._queued[var] = act
+                heapq.heappush(self._order, (-act, var))
 
     def attach_new_clauses(self, cnf: CNF) -> int:
         """Ingest clauses appended to ``cnf`` since the last snapshot.
@@ -475,6 +482,7 @@ class SatSolver:
         phase = self.phase
         activity = self.activity
         occurs = self._occurs
+        queued = self._queued
         order = self._order
         push = heapq.heappush
         for i in range(len(trail) - 1, limit - 1, -1):
@@ -488,7 +496,12 @@ class SatSolver:
                 var = -lit
                 phase[var] = False
             if occurs[var]:
-                push(order, (-activity[var], var))
+                act = activity[var]
+                if queued[var] != act:
+                    # A variable set by propagation was never popped, so its
+                    # entry may still be queued at this very activity.
+                    queued[var] = act
+                    push(order, (-act, var))
         del trail[limit:]
         del trail_lim[level:]
         if self.qhead > limit:
@@ -520,12 +533,15 @@ class SatSolver:
         lv = self._lv
         activity = self.activity
         occurs = self._occurs
-        self._order = [
-            (-activity[v], v)
-            for v in range(1, self.n_vars + 1)
-            if lv[v] is None and occurs[v]
-        ]
-        heapq.heapify(self._order)
+        queued: List[Optional[float]] = [None] * (self.n_vars + 1)
+        order = []
+        for v in range(1, self.n_vars + 1):
+            if lv[v] is None and occurs[v]:
+                queued[v] = activity[v]
+                order.append((-activity[v], v))
+        heapq.heapify(order)
+        self._order = order
+        self._queued = queued
 
     def _pick_branch_var(self) -> Optional[int]:
         """The unassigned variable of highest activity, lowest index on ties.
@@ -537,10 +553,14 @@ class SatSolver:
         order = self._order
         lv = self._lv
         activity = self.activity
+        queued = self._queued
         pop = heapq.heappop
         while order:
             neg_act, var = pop(order)
-            if lv[var] is None and -neg_act == activity[var]:
+            act = -neg_act
+            if queued[var] == act:
+                queued[var] = None
+            if lv[var] is None and act == activity[var]:
                 return var
         return None
 

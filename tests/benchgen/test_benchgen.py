@@ -1,7 +1,16 @@
 """Unit tests for the synthetic benchmark generators."""
 
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import repro
 
 from repro.benchgen import (
     ALL_PROFILES,
@@ -52,6 +61,44 @@ class TestRandomLogic:
             for n in a.gate_names()
             if b.has_gate(n)
         )
+
+    @pytest.mark.parametrize("n_inputs", [2, 3])
+    def test_fewer_inputs_than_max_fanin(self, n_inputs):
+        """The first gates may ask for more distinct nets than exist (the
+        default ``max_fanin`` is 4); their fan-in is clamped to the nets
+        available.  Generation runs in a child interpreter so that the pick
+        loop spinning forever fails on the timeout instead of hanging."""
+        code = textwrap.dedent(
+            f"""
+            import json
+            from repro.benchgen import RandomLogicSpec, generate_random_circuit
+            from repro.netlist import validate_circuit
+            for seed in range(20):
+                spec = RandomLogicSpec(
+                    "tiny", n_inputs={n_inputs}, n_outputs=2, n_gates=12, seed=seed
+                )
+                circuit = generate_random_circuit(spec)
+                assert validate_circuit(circuit).ok, seed
+                first = circuit.gate(circuit.gate_names()[0])
+                print(json.dumps([len(first.inputs), len(set(first.inputs))]))
+            """
+        )
+        env = dict(os.environ)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-c", code],
+                env=env, capture_output=True, text=True, timeout=60,
+            )
+        except subprocess.TimeoutExpired:
+            pytest.fail(f"generate_random_circuit(n_inputs={n_inputs}) did not return")
+        assert proc.returncode == 0, proc.stderr
+        for line in proc.stdout.splitlines():
+            fanin, distinct = json.loads(line)
+            assert fanin == distinct <= n_inputs
 
     def test_only_bench8_supported(self):
         from repro.netlist import GEN65

@@ -11,12 +11,21 @@ bytes of every parameter array) and one over the canonical JSON of the
 :class:`TrainingHistory` fields that training decides (``loss``,
 ``val_accuracy``, ``best_epoch``, ``epochs_run``).  JSON floats are written
 with ``repr``, which round-trips exactly.
+
+Float sums in BLAS can depend on its thread count (full-batch training
+differs in the last bits between one and several OpenBLAS threads), so all
+six cases train in one child interpreter with OpenBLAS, OpenMP and MKL
+pinned to one thread: the same numbers are checked on every host.
 """
 
 import dataclasses
 import functools
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -134,9 +143,9 @@ PINNED = {
         "d752e64cbaf4eacbdd2d46f30553e2325043acf826d86b3c2c2d59a40246969d",
     ),  # 45 epochs, best at 15
     "antisat-full-batch": (
-        "0cb88be54e4c5ba8fec8a702046575599b4c18a7548cc9c5f4f5b0ade189557e",
-        "ffe7af9675bf6ab202636aa6763c5729b7cedc7b792b868e9d9cbbea33234843",
-    ),  # 50 epochs, best at 20
+        "7011963f127a7c7580fd7a0f1257ac726c30adbb7b53b2cd3d6f5260c04b0fe7",
+        "48aec25b4f875748af707c2c20922436e415e5a2b4e2e6376654aa92945aeacc",
+    ),  # 50 epochs, best at 20; one-thread BLAS digest
     "antisat-unweighted-classes": (
         "49e71443dbea76c96bf342c7ffc84c70028c8c3271f66f4608ec72d5f37d2353",
         "8f9c2700db091c5d480b431d97344a75d762de5cd2bef9ecf73124df30ba6191",
@@ -156,7 +165,41 @@ PINNED = {
 }
 
 
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _case_digests():
+    """(weights digest, history digest) of every case, in this process."""
+    digests = {}
+    for case in sorted(CASES):
+        model, history = CASES[case]()
+        digests[case] = [weights_digest(model), history_digest(history)]
+    return digests
+
+
+@pytest.fixture(scope="module")
+def single_thread_digests():
+    """Every case's digests, trained in a child with BLAS at one thread."""
+    import repro
+
+    env = dict(os.environ)
+    env.update({name: "1" for name in BLAS_THREAD_VARIABLES})
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    proc = subprocess.run(
+        [sys.executable, __file__], env=env, capture_output=True, text=True,
+        timeout=900,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_trained_model_is_pinned(case):
-    model, history = CASES[case]()
-    assert (weights_digest(model), history_digest(history)) == PINNED[case]
+def test_trained_model_is_pinned(case, single_thread_digests):
+    assert tuple(single_thread_digests[case]) == PINNED[case]
+
+
+if __name__ == "__main__":
+    print(json.dumps(_case_digests()))
