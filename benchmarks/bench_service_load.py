@@ -1,17 +1,13 @@
 """Load / soak harness for the campaign service (``repro.service``).
 
 Fires N concurrent clients at a **live** :class:`CampaignService` (real
-loopback HTTP, auth enabled, one token per client) and checks the hardening
+loopback HTTP, auth enabled, one token per client) and checks the service's
 invariants under contention:
 
 * **no lost or duplicated jobs** — every submission lands exactly once;
   the admin listing holds exactly the submitted fingerprints;
-* **quotas enforced** — a token with ``max_queued=2`` gets its third
-  backlog submission rejected with 429/``quota_exceeded`` + ``Retry-After``;
-* **rate limit enforced** — a token bucket rejects the burst-exceeding
-  submission with 429/``rate_limited`` and a positive retry hint;
-* **priority order** — with the workers pinned by blocker jobs, a
-  high-priority submission starts before earlier low-priority backlog;
+* **disjoint owner views** — each client's listing holds exactly its own
+  jobs;
 * **reports byte-identical to direct runs** — fetched reports diff clean
   against offline ``run_campaign`` renders of the same specs.
 
@@ -53,11 +49,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from repro.core import AttackConfig  # noqa: E402
 from repro.obs import parse_prometheus  # noqa: E402
 from repro.runner import CampaignSpec, ResultStore, render_report, run_campaign  # noqa: E402
-from repro.service import (  # noqa: E402
-    CampaignService,
-    ServiceClient,
-    ThrottledError,
-)
+from repro.service import CampaignService, ServiceClient  # noqa: E402
 
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_service_load.json"
 
@@ -70,7 +62,7 @@ MAX_P95_SUBMIT_S = 2.0
 TINY_CONFIG = AttackConfig(locks_per_setting=1, iscas_key_sizes=(8,), seed=5)
 
 
-def fast_spec(name: str, priority: int = 0) -> CampaignSpec:
+def fast_spec(name: str) -> CampaignSpec:
     """A one-task ``dataset-summary`` campaign.
 
     Every spec shares one :class:`DatasetSpec` fingerprint (same benchmarks,
@@ -85,25 +77,16 @@ def fast_spec(name: str, priority: int = 0) -> CampaignSpec:
         key_size_groups=((8,),),
         attacks=("dataset-summary",),
         config=TINY_CONFIG,
-        priority=priority,
     )
 
 
 def write_tokens_file(path: Path, n_clients: int) -> Dict[str, str]:
     """Tokens file for a load run; returns ``{principal: secret}``.
 
-    One submit token per load client, an admin token, a quota-probe token
-    capped at 2 queued jobs, and a rate-probe token with a 2-burst bucket.
+    One submit token per load client and an admin token.
     """
     entries: Dict[str, Dict[str, object]] = {
         "tok-admin": {"name": "admin", "role": "admin"},
-        "tok-quota": {"name": "quota-probe", "role": "submit", "max_queued": 2},
-        "tok-rate": {
-            "name": "rate-probe",
-            "role": "submit",
-            "submit_rate": 0.5,
-            "submit_burst": 2,
-        },
     }
     for i in range(n_clients):
         entries[f"tok-client-{i}"] = {"name": f"client-{i}", "role": "submit"}
@@ -121,7 +104,7 @@ def percentile(values: List[float], q: float) -> float:
 
 
 # ----------------------------------------------------------------------
-# Phase 1: concurrent-client throughput + lost/duplicate/report invariants.
+# Load phase: concurrent-client throughput + lost/duplicate/report invariants.
 # ----------------------------------------------------------------------
 def run_load_phase(
     service: CampaignService,
@@ -139,39 +122,30 @@ def run_load_phase(
         for j in range(jobs_per_client)
     }
     latencies: List[float] = []
-    throttled_retries = 0
     submitted: Dict[str, List[str]] = {}  # client name -> job ids, in order
     errors: List[str] = []
     lock = threading.Lock()
     barrier = threading.Barrier(clients)
 
     def one_client(c: int) -> None:
-        nonlocal throttled_retries
         client = ServiceClient(service.url, token=secrets[f"client-{c}"])
         ids: List[str] = []
         barrier.wait()
         for j in range(jobs_per_client):
-            while True:
-                begin = time.monotonic()
-                try:
-                    response = client.submit(specs[(c, j)])
-                except ThrottledError as exc:
-                    with lock:
-                        throttled_retries += 1
-                    time.sleep(exc.retry_after_s or 0.5)
-                    continue
-                except Exception as exc:  # noqa: BLE001 - collected, not raised mid-thread
-                    with lock:
-                        errors.append(f"client-{c} job {j}: {exc}")
-                    return
-                elapsed = time.monotonic() - begin
+            begin = time.monotonic()
+            try:
+                response = client.submit(specs[(c, j)])
+            except Exception as exc:  # noqa: BLE001 - collected, not raised mid-thread
                 with lock:
-                    latencies.append(elapsed)
-                if not response["created"]:
-                    with lock:
-                        errors.append(f"client-{c} job {j}: deduped unexpectedly")
-                ids.append(str(response["job"]["job_id"]))
-                break
+                    errors.append(f"client-{c} job {j}: {exc}")
+                return
+            elapsed = time.monotonic() - begin
+            with lock:
+                latencies.append(elapsed)
+            if not response["created"]:
+                with lock:
+                    errors.append(f"client-{c} job {j}: deduped unexpectedly")
+            ids.append(str(response["job"]["job_id"]))
         with lock:
             submitted[f"client-{c}"] = ids
 
@@ -244,7 +218,6 @@ def run_load_phase(
             "p95": percentile(latencies, 0.95),
             "max": max(latencies) if latencies else float("nan"),
         },
-        "throttled_retries": throttled_retries,
         "invariants": {
             "no_duplicate_jobs": no_duplicates,
             "no_lost_jobs": no_lost,
@@ -253,70 +226,6 @@ def run_load_phase(
             "owner_views_disjoint": own_view_ok,
             "reports_match_offline": reports_match,
         },
-    }
-
-
-# ----------------------------------------------------------------------
-# Phase 2: quota / rate-limit / priority invariants behind pinned workers.
-# ----------------------------------------------------------------------
-def run_guardrail_phase(
-    service: CampaignService, secrets: Dict[str, str]
-) -> Dict[str, object]:
-    admin = ServiceClient(service.url, token=secrets["admin"])
-    quota = ServiceClient(service.url, token=secrets["quota-probe"])
-    rate = ServiceClient(service.url, token=secrets["rate-probe"])
-
-    # Pause the claim pump so probe jobs stay queued deterministically (the
-    # HTTP surface — auth, queue, quotas — stays fully live; tiny jobs on a
-    # fast machine would otherwise drain before the probes land).
-    service.worker.stop(timeout=60)
-
-    # Quota: max_queued=2 admits exactly two backlog jobs, rejects the third.
-    assert quota.submit(fast_spec("quota-1"))["created"]
-    assert quota.submit(fast_spec("quota-2"))["created"]
-    quota_enforced = False
-    retry_after = None
-    try:
-        quota.submit(fast_spec("quota-3"))
-    except ThrottledError as exc:
-        quota_enforced = exc.code == "quota_exceeded"
-        retry_after = exc.retry_after_s
-
-    # Rate limit: burst of 2, then 429 with a positive Retry-After.
-    assert rate.submit(fast_spec("rate-1"))["created"]
-    assert rate.submit(fast_spec("rate-2"))["created"]
-    rate_limited = False
-    rate_retry_after = None
-    try:
-        rate.submit(fast_spec("rate-3"))
-    except ThrottledError as exc:
-        rate_limited = exc.code == "rate_limited"
-        rate_retry_after = exc.retry_after_s
-
-    # Priority: backlog at 0, then an urgent job; once the workers resume it
-    # must start first (claim order is serialised by the queue lock, so
-    # started_at ordering is faithful).
-    low_ids = [
-        admin.submit(fast_spec(f"prio-low-{i}"))["job"]["job_id"] for i in range(2)
-    ]
-    high_id = admin.submit(fast_spec("prio-high", priority=5))["job"]["job_id"]
-    service.worker.start()
-    waited = [admin.wait(job_id, timeout=300.0) for job_id in (high_id, *low_ids)]
-    priority_order = all(
-        waited[0]["started_at"] <= later["started_at"] for later in waited[1:]
-    )
-
-    # Drain the quota/rate probe backlog so the service ends idle.
-    for snap in admin.jobs():
-        if snap["status"] not in ("done", "failed", "cancelled"):
-            admin.wait(snap["job_id"], timeout=300.0)
-
-    return {
-        "quota_enforced": quota_enforced,
-        "quota_retry_after_s": retry_after,
-        "rate_limited": rate_limited,
-        "rate_retry_after_s": rate_retry_after,
-        "priority_order": priority_order,
     }
 
 
@@ -379,7 +288,7 @@ def run_bench(
     offline_checks: int = 2,
     root: Optional[Path] = None,
 ) -> Dict[str, object]:
-    """Full harness: live service, load phase, guardrail phase, optional soak."""
+    """Full harness: live service, load phase, optional soak."""
     root = Path(root or tempfile.mkdtemp(prefix="repro-service-load-"))
     tokens_path = root / "tokens.json"
     secrets = write_tokens_file(tokens_path, max(clients, 4))
@@ -405,7 +314,6 @@ def run_bench(
             offline_checks=offline_checks,
             offline_dir=root / "offline",
         )
-        results["guardrails"] = run_guardrail_phase(service, secrets)
         if soak_seconds > 0:
             results["soak"] = run_soak_phase(
                 service, secrets, duration_s=soak_seconds, clients=min(clients, 4)
@@ -452,9 +360,6 @@ def check_results(results: Dict[str, object], *, strict: bool) -> List[str]:
     for name, ok in load["invariants"].items():  # type: ignore[index]
         if not ok:
             failures.append(f"load invariant violated: {name}")
-    for name, ok in results["guardrails"].items():  # type: ignore[union-attr]
-        if isinstance(ok, bool) and not ok:
-            failures.append(f"guardrail invariant violated: {name}")
     p95 = load["submit_latency_s"]["p95"]  # type: ignore[index]
     if not p95 < MAX_P95_SUBMIT_S:
         failures.append(f"p95 submit latency {p95:.3f}s >= {MAX_P95_SUBMIT_S}s")
@@ -498,7 +403,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         f"submit latency: p50 {latency['p50'] * 1000:.1f}ms  "
         f"p95 {latency['p95'] * 1000:.1f}ms  max {latency['max'] * 1000:.1f}ms"
     )
-    print(f"guardrails: {results['guardrails']}")
     if "soak" in results:
         soak = results["soak"]
         print(

@@ -93,8 +93,11 @@ def generate_random_circuit(
     available: List[str] = list(inputs)
     created: List[str] = []
 
-    # Reserve some gates for reduction trees and output buffers.
-    tree_budget = spec.n_reduction_trees * max(spec.reduction_tree_width - 1, 1)
+    # Reserve the reduction trees' gates.  Each tree is clamped to the
+    # primary inputs that exist, and a w-input tree takes w - 1 gates (a
+    # width-1 tree is one BUF).
+    tree_width = min(spec.reduction_tree_width, spec.n_inputs)
+    tree_budget = spec.n_reduction_trees * max(tree_width - 1, 1)
     body_gates = max(spec.n_gates - tree_budget, spec.n_outputs)
 
     for idx in range(body_gates):

@@ -356,11 +356,6 @@ class CampaignSpec:
     #: Derive a distinct GNN training seed per task from the task identity.
     #: Identity-based (not order-based), so serial and parallel runs agree.
     derive_gnn_seeds: bool = True
-    #: Scheduling class for the campaign service (higher runs first; FIFO
-    #: within a class).  Pure scheduling metadata: it is excluded from the
-    #: campaign fingerprint, so the same grid at a different priority still
-    #: dedupes onto the existing job.
-    priority: int = 0
 
     def expand(self) -> List[AttackTask]:
         tasks: List[AttackTask] = []
@@ -473,7 +468,7 @@ class CampaignSpec:
         def names(values: Optional[Sequence[object]]) -> Optional[List[str]]:
             return None if values is None else [str(v) for v in values]
 
-        payload: Dict[str, object] = {
+        return {
             "name": str(self.name),
             "schemes": [str(parse_scheme_spec(s)) for s in self.schemes],
             "suites": [str(s) for s in self.suites],
@@ -495,23 +490,23 @@ class CampaignSpec:
             "timeout_s": None if self.timeout_s is None else float(self.timeout_s),
             "derive_gnn_seeds": bool(self.derive_gnn_seeds),
         }
-        # Emitted only when set: a default-priority spec keeps the exact
-        # pre-priority wire shape, so it still submits to older servers
-        # (whose from_json_dict rejects unknown fields).
-        if self.priority != 0:
-            payload["priority"] = int(self.priority)
-        return payload
 
     @classmethod
     def from_json_dict(cls, payload: Mapping[str, object]) -> "CampaignSpec":
         """Rebuild a spec from :meth:`to_json_dict` output (or hand-written
-        JSON), rejecting unknown fields with a clear message."""
+        JSON), rejecting unknown fields with a clear message.
+
+        A ``"priority"`` key is dropped: job snapshots and clients from
+        releases whose service scheduled by priority still send it.
+        """
         if not isinstance(payload, Mapping):
             raise ValueError(
                 f"campaign spec must be a JSON object, got {type(payload).__name__}"
             )
+        data = dict(payload)
+        data.pop("priority", None)
         known = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(payload) - known)
+        unknown = sorted(set(data) - known)
         if unknown:
             raise ValueError(f"unknown CampaignSpec field(s): {', '.join(unknown)}")
 
@@ -520,7 +515,6 @@ class CampaignSpec:
                 raise ValueError(f"campaign field {key!r} must be a JSON array")
             return list(value)
 
-        data = dict(payload)
         kwargs: Dict[str, object] = {}
         if "config" in data:
             kwargs["config"] = config_from_dict(data.pop("config"))
@@ -570,15 +564,12 @@ class CampaignSpec:
             kwargs["postprocessing"] = tuple(
                 bool(p) for p in listy("postprocessing", data.pop("postprocessing"))
             )
-        kwargs.update(data)  # name, timeout_s, derive_gnn_seeds, priority pass through
+        kwargs.update(data)  # name, timeout_s, derive_gnn_seeds pass through
         return cls(**kwargs)
 
     def canonical(self) -> Dict[str, object]:
         payload: Dict[str, object] = {"kind": "campaign"}
         payload.update(self.to_json_dict())
-        # Priority is scheduling metadata, not workload identity: the same
-        # grid submitted urgent or idle must hash to the same job.
-        payload.pop("priority", None)
         return payload
 
     def fingerprint(self) -> str:
@@ -626,10 +617,6 @@ class CampaignSpec:
                 if int(key_size) <= 0:
                     raise ValueError(f"key sizes must be positive, got {key_size!r}")
         self._validate_scheme_params()
-        if isinstance(self.priority, bool) or not isinstance(self.priority, int):
-            raise ValueError(
-                f"priority must be an integer, got {self.priority!r}"
-            )
         validate_config(self.config)
         for override in self.overrides:
             validate_config(self.config.with_overrides(override))

@@ -17,10 +17,9 @@ Subcommands::
     repro fetch    fetch a job's rendered report or raw records
     repro cancel   cancel a queued or running service job
 
-Service hardening: ``repro serve --tokens-file tokens.json`` turns on
+Service access control: ``repro serve --tokens-file tokens.json`` turns on
 bearer-token auth (``--token`` / ``REPRO_SERVICE_TOKEN`` client-side) with
-per-token submit/admin roles, rate limits and job quotas; ``repro submit
---priority N`` schedules urgent campaigns ahead of the backlog.
+per-token submit/worker/admin roles; jobs run in submission order.
 
 Examples::
 
@@ -501,36 +500,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-max-age", type=parse_age, default=None, metavar="AGE",
         help="evict artifacts unused longer than this between jobs (30m/12h/7d)",
     )
-    traffic = serve.add_argument_group("traffic shaping")
-    traffic.add_argument(
+    serve.add_argument(
         "--tokens-file", type=Path, default=None,
         help="enable bearer-token auth from this JSON tokens file "
-        '({"tokens": {"<secret>": {"name": ..., "role": "submit"|"admin", '
-        '"max_queued": N, "max_active": N, "submit_rate": R}}}); '
+        '({"tokens": {"<secret>": {"name": ..., '
+        '"role": "submit"|"worker"|"admin"}}}); '
         "edits (including revocations) are picked up without a restart",
-    )
-    traffic.add_argument(
-        "--submit-rate", type=float, default=None, metavar="PER_SECOND",
-        help="default sustained submissions/second per principal "
-        "(token entries may override; default: unlimited)",
-    )
-    traffic.add_argument(
-        "--submit-burst", type=int, default=None, metavar="N",
-        help="default submit burst size per principal (default: the rate)",
-    )
-    traffic.add_argument(
-        "--max-queued", type=int, default=None, metavar="N",
-        help="default max queued jobs per principal (default: unlimited)",
-    )
-    traffic.add_argument(
-        "--max-active", type=int, default=None, metavar="N",
-        help="default max queued+running jobs per principal "
-        "(default: unlimited)",
-    )
-    traffic.add_argument(
-        "--max-priority", type=int, default=None, metavar="N",
-        help="default cap on the job priority non-admin principals may "
-        "request (token entries may override; default: uncapped)",
     )
     fleet = serve.add_argument_group("fleet")
     fleet.add_argument(
@@ -576,11 +551,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_grid_arguments(submit)
     _add_service_arguments(submit)
-    submit.add_argument(
-        "--priority", type=int, default=None, metavar="N",
-        help="scheduling priority (higher runs first, FIFO within a class; "
-        "default 0; excluded from the job fingerprint)",
-    )
     submit.add_argument(
         "--wait", action="store_true",
         help="poll until the job reaches a terminal status, then print its report",
@@ -658,8 +628,6 @@ def _campaign_from_args(args: argparse.Namespace) -> CampaignSpec:
         kwargs["attacks"] = tuple(args.attacks)
     if args.timeout is not None:
         kwargs["timeout_s"] = args.timeout
-    if getattr(args, "priority", None) is not None:  # submit-only flag
-        kwargs["priority"] = args.priority
     kwargs["overrides"] = _override_grid(args.set, args.sweep)
     spec = profile_campaign(args.profile, **kwargs)
     if args.seed is not None:
@@ -1174,11 +1142,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         cache_max_bytes=args.cache_max_bytes,
         cache_max_age_s=args.cache_max_age,
         tokens_file=args.tokens_file,
-        submit_rate=args.submit_rate,
-        submit_burst=args.submit_burst,
-        max_queued_per_owner=args.max_queued,
-        max_active_per_owner=args.max_active,
-        max_priority_per_owner=args.max_priority,
         fleet=args.fleet,
         lease_ttl_s=args.lease_ttl,
         echo=print,
@@ -1308,8 +1271,6 @@ def _format_event(event: Dict[str, object]) -> Optional[str]:
         return f"[{done}/{total}] {event.get('status'):9s} {event.get('task_id')}"
     if kind == "total":
         return f"expanded to {event.get('tasks_total')} task(s)"
-    if kind == "priority":
-        return f"escalated to priority {event.get('priority')}"
     if kind == "cancel_requested":
         return "cancellation requested"
     return None

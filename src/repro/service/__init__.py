@@ -5,19 +5,18 @@ long-running process, turning the batch "expand a grid and wait" workflow
 into an on-demand one:
 
 * :mod:`~repro.service.jobs` — the job model and a persistent, deduplicating
-  :class:`JobQueue` (job id = campaign fingerprint).
+  FIFO :class:`JobQueue` (job id = campaign fingerprint).
 * :mod:`~repro.service.worker` — :class:`JobWorker` threads that execute
   claimed jobs with ``run_campaign(..., resume=True)`` and divide the global
   worker budgets across concurrent jobs.
 * :mod:`~repro.service.api` — :class:`CampaignService`, the stdlib
   ``ThreadingHTTPServer`` JSON API (``repro serve``): bearer-token auth,
-  per-token rate limits and quotas, job priorities, and a
-  ``/v1/jobs/<id>/stream`` long-poll progress feed.
-* :mod:`~repro.service.auth` — the tokens-file registry (submit/admin
-  roles, per-token limits, live-reload revocation) and the token bucket.
+  job ownership, and a ``/v1/jobs/<id>/stream`` long-poll progress feed.
+* :mod:`~repro.service.auth` — the tokens-file registry (submit/worker/admin
+  roles, live-reload revocation).
 * :mod:`~repro.service.client` — :class:`ServiceClient`, the stdlib HTTP
   client behind ``repro submit / status / watch / fetch / cancel``, with
-  typed errors (:class:`AuthError`, :class:`ThrottledError`, ...) and
+  typed errors (:class:`AuthError`, :class:`NotFoundError`, ...) and
   opt-in transient-failure retries for the fleet worker loop.
 
 Scaling out: ``repro serve --fleet`` keeps the one job path (``JobWorker``
@@ -32,7 +31,7 @@ finished tasks.
 """
 
 from .api import CampaignService
-from .auth import TokenBucket, TokenInfo, TokenRegistry
+from .auth import TokenInfo, TokenRegistry
 from .client import (
     AuthError,
     DEFAULT_SERVICE_URL,
@@ -41,9 +40,8 @@ from .client import (
     SERVICE_URL_ENV,
     ServiceClient,
     ServiceError,
-    ThrottledError,
 )
-from .jobs import ACTIVE_STATUSES, Job, JobQueue, QuotaError, TERMINAL_STATUSES
+from .jobs import ACTIVE_STATUSES, Job, JobQueue, TERMINAL_STATUSES
 from .worker import JobWorker
 
 __all__ = [
@@ -55,14 +53,11 @@ __all__ = [
     "JobQueue",
     "JobWorker",
     "NotFoundError",
-    "QuotaError",
     "SERVICE_TOKEN_ENV",
     "SERVICE_URL_ENV",
     "ServiceClient",
     "ServiceError",
-    "ThrottledError",
     "TERMINAL_STATUSES",
-    "TokenBucket",
     "TokenInfo",
     "TokenRegistry",
 ]

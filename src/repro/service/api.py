@@ -28,8 +28,6 @@ tail is picked up lazily on query)::
                                      Non-admin tokens see only records from
                                      jobs they own (same masking rule as
                                      /v1/jobs); worker tokens are refused.
-    GET    /v1/warehouse/usage       per-tenant rollup (jobs, records, task
-                                     seconds); non-admins see their own row
     GET    /v1/warehouse/stats       shard/index/compaction stats (admin)
     POST   /v1/warehouse/compact     fold superseded records now (admin)
 
@@ -49,19 +47,17 @@ Error contract: every non-2xx response body is
 ``{"error": {"code": <machine-readable>, "message": <human-readable>}}``
 (codes in :mod:`repro.service.status`).  400 for malformed JSON or an
 invalid spec, 401 for a missing/unknown/revoked token, 403 for a role
-violation (e.g. a priority above the caller's cap), 404 for unknown jobs
+violation (e.g. a worker token submitting a job), 404 for unknown jobs
 and routes — and for jobs the caller cannot see, indistinguishably, since
 job ids are computable fingerprints and a bare 403 would leak which specs
-other tenants run, 405 for wrong methods,
-429 — always with a ``Retry-After`` header — when the submit rate limit or
-a per-token quota rejects a submission.  Submissions dedupe by campaign
-fingerprint: the response's ``created`` field says whether a new job was
-enqueued or an existing one returned.
+other tenants run, 405 for wrong methods, 413 for a body over the size
+cap.  Submissions dedupe by campaign fingerprint: the response's
+``created`` field says whether a new job was enqueued or an existing one
+returned.  Jobs run in submission order (FIFO).
 
 Authentication is optional: without a tokens file the service is open (every
-request acts as an anonymous admin, as in earlier releases) but the
-service-wide rate limit and quotas, if configured, still apply.  With a
-tokens file, every ``/v1`` request needs ``Authorization: Bearer <token>``;
+request acts as an anonymous admin, as in earlier releases).  With a tokens
+file, every ``/v1`` request needs ``Authorization: Bearer <token>``;
 ``/healthz`` stays open for liveness probes.
 
 The server is a ``ThreadingHTTPServer`` so status polls and long-poll
@@ -76,7 +72,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 import tempfile
 import threading
@@ -99,8 +94,8 @@ from ..warehouse import (
     parse_since,
 )
 from . import status as codes
-from .auth import TokenBucket, TokenInfo, TokenRegistry
-from .jobs import Job, JobQueue, QuotaError
+from .auth import TokenInfo, TokenRegistry
+from .jobs import Job, JobQueue
 from .worker import JobWorker
 
 __all__ = ["CampaignService"]
@@ -118,26 +113,17 @@ _ARTIFACT_CHUNK = 1024 * 1024
 
 #: Cap on request bodies, enforced *before* buffering: campaign specs are a
 #: few KB, so anything near this is hostile.  Without the cap a tokenless
-#: client could OOM the service with one giant Content-Length — exactly the
-#: resource-exhaustion class the auth/rate-limit layer exists to close.
+#: client could OOM the service with one giant Content-Length.
 MAX_BODY_BYTES = 8 * 1024 * 1024
 
 
 class _ApiError(Exception):
     """An error with an HTTP status, rendered as the structured JSON body."""
 
-    def __init__(
-        self,
-        status: int,
-        code: str,
-        message: str,
-        *,
-        retry_after_s: Optional[float] = None,
-    ):
+    def __init__(self, status: int, code: str, message: str):
         super().__init__(message)
         self.status = status
         self.code = code
-        self.retry_after_s = retry_after_s
 
 
 class _ServiceHandler(BaseHTTPRequestHandler):
@@ -168,7 +154,6 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         self._handle("PUT")
 
     def _handle(self, method: str) -> None:
-        headers: Dict[str, str] = {}
         content_type = "application/json"
         self._extra_headers: Dict[str, str] = {}
         try:
@@ -192,8 +177,6 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         except _ApiError as exc:
             status = exc.status
             payload = {"error": {"code": exc.code, "message": str(exc)}}
-            if exc.retry_after_s is not None:
-                headers["Retry-After"] = str(max(1, math.ceil(exc.retry_after_s)))
         except Exception as exc:  # noqa: BLE001 - a handler bug must not kill the server
             status = 500
             payload = {
@@ -211,12 +194,11 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         self.service.metrics.inc(
             "repro_service_http_requests_total", method=method, status=status
         )
-        headers.update(self._extra_headers)
         try:
             self.send_response(status)
             self.send_header("Content-Type", content_type)
             self.send_header("Content-Length", str(len(body)))
-            for name, value in headers.items():
+            for name, value in self._extra_headers.items():
                 self.send_header(name, value)
             self.end_headers()
             self.wfile.write(body)
@@ -293,8 +275,8 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             return 200, payload
         if path == "/metricsz" and method == "GET":
             # Operational counters reveal workload shape (job counts,
-            # per-principal quota rejections); behind auth, only admins see
-            # them — the same visibility rule as the full job listing.
+            # per-principal submits); behind auth, only admins see them —
+            # the same visibility rule as the full job listing.
             identity = self._identity()
             if not identity.is_admin:
                 raise _ApiError(
@@ -343,8 +325,6 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             )
         if path == "/v1/warehouse/query" and method == "GET":
             return self._warehouse_query(identity)
-        if path == "/v1/warehouse/usage" and method == "GET":
-            return self._warehouse_usage(identity)
         if path == "/v1/warehouse/stats" and method == "GET":
             self._require_admin(identity, "warehouse stats")
             self.service.refresh_warehouse()
@@ -430,32 +410,6 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             "count": len(records),
             "truncated": truncated,
         }
-
-    def _warehouse_usage(self, identity: TokenInfo) -> Tuple[int, Dict[str, object]]:
-        self.service.refresh_warehouse()
-        counts = self.service.warehouse.records_by_source()
-        usage: Dict[str, Dict[str, object]] = {}
-        for job in self.service.queue.jobs(None):
-            for owner in job.owners or ["anonymous"]:
-                row = usage.setdefault(
-                    owner,
-                    {
-                        "jobs": 0,
-                        "records": 0,
-                        "tasks_done": 0,
-                        "tasks_wall_s": 0.0,
-                    },
-                )
-                row["jobs"] = int(row["jobs"]) + 1
-                row["records"] = int(row["records"]) + counts.get(job.job_id, 0)
-                row["tasks_done"] = int(row["tasks_done"]) + job.tasks_done
-                row["tasks_wall_s"] = float(row["tasks_wall_s"]) + job.tasks_wall_s
-        if not identity.is_admin:
-            usage = {
-                owner: row for owner, row in usage.items()
-                if owner == identity.name
-            }
-        return 200, {"usage": usage}
 
     # ------------------------------------------------------------------
     # Fleet: lease lifecycle
@@ -827,20 +781,6 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             raise _ApiError(
                 403, codes.ERR_FORBIDDEN, "worker tokens may not submit jobs"
             )
-        retry_after = self.service.throttle_submit(identity)
-        if retry_after is not None:
-            self.service.metrics.inc(
-                "repro_service_throttled_total",
-                reason="rate",
-                principal=identity.name,
-            )
-            raise _ApiError(
-                429,
-                codes.ERR_RATE_LIMITED,
-                f"submit rate limit exceeded for {identity.name!r}; "
-                f"retry in {retry_after:.2f}s",
-                retry_after_s=retry_after,
-            )
         try:
             payload = json.loads(self._body.decode("utf-8") or "null")
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
@@ -851,45 +791,14 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             ) from None
         if isinstance(payload, dict) and "spec" in payload:
             payload = payload["spec"]
-        max_queued, max_active = self.service.quota_for(identity)
         try:
             spec = CampaignSpec.from_json_dict(payload)
         except (TypeError, ValueError) as exc:
             raise _ApiError(
                 400, codes.ERR_INVALID_SPEC, f"invalid campaign spec: {exc}"
             ) from None
-        cap = self.service.priority_cap_for(identity)
-        if (
-            cap is not None
-            and isinstance(spec.priority, int)
-            and not isinstance(spec.priority, bool)
-            and spec.priority > cap
-        ):
-            raise _ApiError(
-                403,
-                codes.ERR_FORBIDDEN,
-                f"priority {spec.priority} exceeds the cap {cap} "
-                f"for {identity.name!r}",
-            )
         try:
-            job, created = self.service.queue.submit(
-                spec,
-                owner=identity.name,
-                max_queued=max_queued,
-                max_active=max_active,
-            )
-        except QuotaError as exc:
-            self.service.metrics.inc(
-                "repro_service_throttled_total",
-                reason="quota",
-                principal=identity.name,
-            )
-            raise _ApiError(
-                429,
-                codes.ERR_QUOTA_EXCEEDED,
-                str(exc),
-                retry_after_s=exc.retry_after_s,
-            ) from None
+            job, created = self.service.queue.submit(spec, owner=identity.name)
         except (TypeError, ValueError) as exc:
             # from_json_dict only shape-checks; submit()'s validate() is
             # where bad field values (unknown benchmarks, mistyped config)
@@ -923,16 +832,9 @@ class CampaignService:
             client = ServiceClient(service.url)
             ...
 
-    Traffic shaping:
-
-    * ``tokens_file`` switches on bearer-token auth (see
-      :mod:`repro.service.auth` for the file format).  Without it the
-      service is open and every request acts as an anonymous admin.
-    * ``submit_rate`` / ``submit_burst`` are the default token bucket on
-      POST ``/v1/jobs`` per principal; a token entry's own
-      ``submit_rate``/``submit_burst`` override them.
-    * ``max_queued_per_owner`` / ``max_active_per_owner`` are the default
-      per-principal job quotas, likewise overridable per token.
+    ``tokens_file`` switches on bearer-token auth (see
+    :mod:`repro.service.auth` for the file format).  Without it the service
+    is open and every request acts as an anonymous admin.
     """
 
     def __init__(
@@ -948,11 +850,6 @@ class CampaignService:
         cache_max_bytes: Optional[int] = None,
         cache_max_age_s: Optional[float] = None,
         tokens_file: Optional[os.PathLike] = None,
-        submit_rate: Optional[float] = None,
-        submit_burst: Optional[int] = None,
-        max_queued_per_owner: Optional[int] = None,
-        max_active_per_owner: Optional[int] = None,
-        max_priority_per_owner: Optional[int] = None,
         stream_max_wait_s: float = STREAM_MAX_WAIT_S,
         fleet: bool = False,
         lease_ttl_s: float = 30.0,
@@ -971,17 +868,7 @@ class CampaignService:
         )
         #: The grant unauthenticated requests run under when auth is off.
         self.anonymous = TokenInfo(name="anonymous", role="admin")
-        self.submit_rate = submit_rate
-        self.submit_burst = submit_burst
-        self.max_queued_per_owner = max_queued_per_owner
-        self.max_active_per_owner = max_active_per_owner
-        self.max_priority_per_owner = max_priority_per_owner
         self.stream_max_wait_s = float(stream_max_wait_s)
-        #: (principal, rate, burst) -> bucket; see throttle_submit.
-        self._buckets: Dict[
-            Tuple[str, float, Optional[int]], TokenBucket
-        ] = {}
-        self._buckets_lock = threading.Lock()
         #: One registry shared by queue, workers and HTTP handlers; the
         #: ``/metricsz`` endpoint renders it (see :meth:`render_metrics`).
         self.metrics = MetricsRegistry()
@@ -1069,70 +956,11 @@ class CampaignService:
         return added
 
     # ------------------------------------------------------------------
-    # Traffic shaping.
-
-    def quota_for(self, identity: TokenInfo) -> Tuple[Optional[int], Optional[int]]:
-        """Effective ``(max_queued, max_active)`` for a principal."""
-        max_queued = (
-            identity.max_queued
-            if identity.max_queued is not None
-            else self.max_queued_per_owner
-        )
-        max_active = (
-            identity.max_active
-            if identity.max_active is not None
-            else self.max_active_per_owner
-        )
-        return max_queued, max_active
-
-    def priority_cap_for(self, identity: TokenInfo) -> Optional[int]:
-        """Highest priority a principal may request (None = uncapped).
-
-        A token's explicit ``max_priority`` always wins; otherwise admins
-        are uncapped and everyone else gets the service-wide default —
-        without a cap, one tenant could pin its whole backlog above every
-        other tenant's jobs while staying inside its job-count quotas.
-        """
-        if identity.max_priority is not None:
-            return identity.max_priority
-        if identity.is_admin:
-            return None
-        return self.max_priority_per_owner
-
-    def throttle_submit(self, identity: TokenInfo) -> Optional[float]:
-        """Spend one submit token; returns seconds-until-retry when empty."""
-        rate = (
-            identity.submit_rate
-            if identity.submit_rate is not None
-            else self.submit_rate
-        )
-        if rate is None:
-            return None
-        burst = (
-            identity.submit_burst
-            if identity.submit_burst is not None
-            else self.submit_burst
-        )
-        # Keyed by principal AND parameters: tokens-file edits take effect
-        # without a restart (a new key = a fresh bucket), while two
-        # same-name tokens with different rates (mid-rotation) each drain
-        # their own bucket instead of resetting a shared one to full burst
-        # on every alternation.  Stale buckets are bounded by the number of
-        # distinct configurations ever served and cost ~100 bytes each.
-        key = (identity.name, rate, burst)
-        with self._buckets_lock:
-            bucket = self._buckets.get(key)
-            if bucket is None:
-                bucket = TokenBucket(rate, burst)
-                self._buckets[key] = bucket
-        return bucket.acquire()
-
-    # ------------------------------------------------------------------
     def render_metrics(self) -> str:
         """Prometheus text rendering of the service telemetry plane.
 
         Counters and histograms accumulate live (submits, claims, finishes,
-        throttles, HTTP requests, queue-wait/run-time); point-in-time gauges
+        HTTP requests, queue-wait/run-time); point-in-time gauges
         (jobs by state — every state, so absent ones scrape as 0 — and the
         event-feed depth) are refreshed at scrape time.
         """

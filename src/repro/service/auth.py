@@ -1,30 +1,23 @@
-"""Bearer-token authentication, quotas and rate limiting for the service.
+"""Bearer-token authentication for the service.
 
 The tokens file is JSON mapping each secret token string to its grant::
 
     {
       "tokens": {
-        "s3cret-alice": {"name": "alice", "role": "submit",
-                         "max_queued": 4, "max_active": 2,
-                         "submit_rate": 5.0, "submit_burst": 10},
+        "s3cret-alice": {"name": "alice", "role": "submit"},
         "s3cret-ops":   {"name": "ops", "role": "admin"}
       }
     }
 
 * ``name`` identifies the principal; jobs record it as their owner.  Two
-  tokens may share a name (key rotation) — they share quotas and ownership.
-* ``role`` is ``"submit"`` (submit, and see / cancel / stream *own* jobs)
-  or ``"admin"`` (everything, every job).  Default: ``submit``.
-* ``max_queued`` caps the owner's *queued* jobs; ``max_active`` caps their
-  queued + running jobs.  Omitted limits fall back to the service-wide
-  defaults (``None`` = unlimited).
-* ``submit_rate`` / ``submit_burst`` shape a token bucket on POST
-  ``/v1/jobs``: sustained ``submit_rate`` submissions per second with
-  bursts up to ``submit_burst`` (default: the rate, rounded up).
-* ``max_priority`` caps the job priority the token may request — without a
-  cap a single tenant could pin its jobs above everyone else's backlog.
-  Falls back to the service-wide default; admins are uncapped unless their
-  entry sets one explicitly.
+  tokens may share a name (key rotation) — they share job ownership.
+* ``role`` is ``"submit"`` (submit, and see / cancel / stream *own* jobs),
+  ``"worker"`` (fleet drainers: lease tasks and move artifacts) or
+  ``"admin"`` (everything, every job).  Default: ``submit``.
+
+Entries written for older releases may still carry the per-token limits
+those releases enforced (``max_queued``, ``max_active``, ``submit_rate``,
+``submit_burst``, ``max_priority``); they load and are ignored.
 
 The registry re-reads the file whenever it changes on disk, so revoking a
 token (deleting its entry) takes effect without a restart.  A token absent
@@ -37,29 +30,27 @@ from __future__ import annotations
 import json
 import os
 import threading
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, Optional
 
-__all__ = ["ROLES", "TokenBucket", "TokenInfo", "TokenRegistry"]
+__all__ = ["ROLES", "TokenInfo", "TokenRegistry"]
 
 ROLES = ("submit", "worker", "admin")
+
+#: Per-token limits older releases enforced; entries carrying them still
+#: load, and the values are ignored.
+LEGACY_FIELDS = frozenset(
+    {"max_queued", "max_active", "submit_rate", "submit_burst", "max_priority"}
+)
 
 
 @dataclass(frozen=True)
 class TokenInfo:
-    """One token's grant: identity, role and (optional) limits."""
+    """One token's grant: identity and role."""
 
     name: str
     role: str = "submit"
-    max_queued: Optional[int] = None
-    max_active: Optional[int] = None
-    submit_rate: Optional[float] = None
-    submit_burst: Optional[int] = None
-    #: Highest job priority this token may request (None = the service-wide
-    #: default for its role).  Caps escalation, not demotion.
-    max_priority: Optional[int] = None
 
     @property
     def is_admin(self) -> bool:
@@ -75,16 +66,7 @@ class TokenInfo:
 def _parse_token_entry(token: str, entry: object) -> TokenInfo:
     if not isinstance(entry, dict):
         raise ValueError(f"token entry for {token[:8]!r}... must be a JSON object")
-    known = {
-        "name",
-        "role",
-        "max_queued",
-        "max_active",
-        "submit_rate",
-        "submit_burst",
-        "max_priority",
-    }
-    unknown = sorted(set(entry) - known)
+    unknown = sorted(set(entry) - {"name", "role"} - LEGACY_FIELDS)
     if unknown:
         raise ValueError(f"unknown token field(s): {', '.join(unknown)}")
     name = entry.get("name")
@@ -93,34 +75,7 @@ def _parse_token_entry(token: str, entry: object) -> TokenInfo:
     role = entry.get("role", "submit")
     if role not in ROLES:
         raise ValueError(f"token {name!r}: role must be one of {ROLES}, got {role!r}")
-
-    def _int_limit(key: str) -> Optional[int]:
-        value = entry.get(key)
-        if value is None:
-            return None
-        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-            raise ValueError(f"token {name!r}: {key} must be a non-negative integer")
-        return value
-
-    rate = entry.get("submit_rate")
-    if rate is not None and (
-        isinstance(rate, bool) or not isinstance(rate, (int, float)) or rate <= 0
-    ):
-        raise ValueError(f"token {name!r}: submit_rate must be a positive number")
-    max_priority = entry.get("max_priority")
-    if max_priority is not None and (
-        isinstance(max_priority, bool) or not isinstance(max_priority, int)
-    ):
-        raise ValueError(f"token {name!r}: max_priority must be an integer")
-    return TokenInfo(
-        name=name,
-        role=role,
-        max_queued=_int_limit("max_queued"),
-        max_active=_int_limit("max_active"),
-        submit_rate=None if rate is None else float(rate),
-        submit_burst=_int_limit("submit_burst"),
-        max_priority=max_priority,
-    )
+    return TokenInfo(name=name, role=role)
 
 
 def parse_tokens(payload: object) -> Dict[str, TokenInfo]:
@@ -205,36 +160,3 @@ class TokenRegistry:
     def __len__(self) -> int:
         with self._lock:
             return len(self._tokens)
-
-
-class TokenBucket:
-    """Classic token bucket: ``rate`` refills/s up to ``burst`` capacity.
-
-    ``acquire()`` either spends one token (returns None) or reports how many
-    seconds until one is available — the value served as ``Retry-After``.
-    """
-
-    def __init__(
-        self,
-        rate: float,
-        burst: Optional[int] = None,
-        clock: Callable[[], float] = time.monotonic,
-    ):
-        self.rate = float(rate)
-        self.burst = max(1, int(burst if burst is not None else -(-rate // 1)))
-        self._clock = clock
-        self._tokens = float(self.burst)
-        self._updated = clock()
-        self._lock = threading.Lock()
-
-    def acquire(self) -> Optional[float]:
-        with self._lock:
-            now = self._clock()
-            self._tokens = min(
-                float(self.burst), self._tokens + (now - self._updated) * self.rate
-            )
-            self._updated = now
-            if self._tokens >= 1.0:
-                self._tokens -= 1.0
-                return None
-            return (1.0 - self._tokens) / self.rate

@@ -5,8 +5,7 @@ by the service test-suite, so the CLI never hand-rolls HTTP and the tests
 exercise exactly what users run.  Only ``urllib`` — no new dependencies.
 
 Errors are typed: every non-2xx response raises :class:`ServiceError` or a
-subclass (:class:`AuthError` for 401/403, :class:`NotFoundError` for 404,
-:class:`ThrottledError` for 429 — carrying the server's ``Retry-After``),
+subclass (:class:`AuthError` for 401/403, :class:`NotFoundError` for 404),
 with the machine-readable ``code`` from the structured error body.
 
 Progress is streamed, not polled: :meth:`ServiceClient.wait` and
@@ -35,7 +34,6 @@ __all__ = [
     "SERVICE_URL_ENV",
     "ServiceClient",
     "ServiceError",
-    "ThrottledError",
 ]
 
 #: Environment variable overriding the default service URL for the CLI.
@@ -50,7 +48,7 @@ DEFAULT_SERVICE_URL = "http://127.0.0.1:8765"
 STREAM_CHUNK_S = 10.0
 
 #: Ceiling on any single retry sleep, whatever Retry-After or the
-#: exponential backoff computed (a throttled fleet must keep heartbeating).
+#: exponential backoff computed (a waiting drainer must keep heartbeating).
 RETRY_MAX_SLEEP_S = 10.0
 
 
@@ -80,10 +78,6 @@ class NotFoundError(ServiceError):
     """404: unknown job or route."""
 
 
-class ThrottledError(ServiceError):
-    """429: rate limit or quota; ``retry_after_s`` says when to try again."""
-
-
 def _error_from_http(exc: urllib_error.HTTPError) -> ServiceError:
     """Map an HTTPError onto the typed hierarchy, parsing the JSON body."""
     code: Optional[str] = None
@@ -109,8 +103,6 @@ def _error_from_http(exc: urllib_error.HTTPError) -> ServiceError:
         cls = AuthError
     elif exc.code == 404:
         cls = NotFoundError
-    elif exc.code == 429:
-        cls = ThrottledError
     return cls(exc.code, message, code=code, retry_after_s=retry_after)
 
 
@@ -121,11 +113,11 @@ class ServiceClient:
     every request; required when the service runs with a tokens file.
 
     ``retries`` (default 0 — behaviour unchanged) opts in to transparent
-    retry of transient failures: 429/503 responses (honouring the server's
-    ``Retry-After``, else capped exponential backoff from
+    retry of transient failures: 503 responses (honouring a
+    ``Retry-After`` header, else capped exponential backoff from
     ``retry_backoff_s``) and transport-level ``URLError``.  The fleet
     worker loop runs with retries on; interactive CLI verbs keep the
-    fail-fast default so a throttled ``submit`` surfaces immediately.
+    fail-fast default so an unavailable service surfaces immediately.
     """
 
     def __init__(
@@ -160,7 +152,7 @@ class ServiceClient:
                 return urllib_request.urlopen(req, timeout=timeout)
             except urllib_error.HTTPError as exc:
                 error = _error_from_http(exc)
-                if attempt < self.retries and exc.code in (429, 503):
+                if attempt < self.retries and exc.code == 503:
                     delay = error.retry_after_s
                     if delay is None:
                         delay = self.retry_backoff_s * (2.0 ** attempt)
@@ -214,9 +206,7 @@ class ServiceClient:
         """Submit a campaign; ``spec`` is a CampaignSpec or its JSON dict.
 
         Returns ``{"job": <snapshot>, "created": bool}`` — ``created`` is
-        False when the submission deduped onto an existing job.  Raises
-        :class:`ThrottledError` (with ``retry_after_s``) when the service's
-        rate limit or the caller's quota rejects the submission.
+        False when the submission deduped onto an existing job.
         """
         if hasattr(spec, "to_json_dict"):
             spec = spec.to_json_dict()
@@ -279,10 +269,6 @@ class ServiceClient:
         path = "/v1/warehouse/query" + (f"?{query}" if query else "")
         return self._request("GET", path)
 
-    def warehouse_usage(self) -> Dict[str, Dict[str, object]]:
-        """Per-tenant usage rollup; non-admins get only their own row."""
-        return dict(self._request("GET", "/v1/warehouse/usage")["usage"])
-
     def warehouse_stats(self) -> Dict[str, object]:
         """Warehouse shard/index stats (admin token required under auth)."""
         return dict(self._request("GET", "/v1/warehouse/stats")["stats"])
@@ -313,9 +299,8 @@ class ServiceClient:
         """Yield progress events until the job is terminal.
 
         Each yielded dict is one event from the job's feed (``event`` is
-        ``status``/``task``/``total``/``priority``/``cancel_requested``),
-        with the
-        current job snapshot attached under ``"job"``.  Raises
+        ``status``/``task``/``total``/``cancel_requested``, or a fleet lease
+        event), with the current job snapshot attached under ``"job"``.  Raises
         :class:`TimeoutError` if the job is still live after ``timeout``
         seconds (None = wait forever).
         """

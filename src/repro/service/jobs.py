@@ -12,13 +12,9 @@ running when the process died, and the worker re-runs them with
 ``run_campaign(..., resume=True)`` so finished tasks are skipped, not
 repeated.
 
-Scheduling is a **stable priority queue**: :meth:`JobQueue.claim` pops the
-highest :attr:`CampaignSpec.priority` first and, within one priority class,
-the oldest submission (FIFO by a persisted per-queue sequence number, so the
-order survives restarts even when two jobs were submitted within the same
-clock tick).  Priority is scheduling metadata only — it is excluded from the
-campaign fingerprint, so resubmitting a grid at a different priority dedupes
-onto the existing job.
+Scheduling is **FIFO**: :meth:`JobQueue.claim` pops the oldest submission,
+ordered by a persisted per-queue sequence number, so the order survives
+restarts even when two jobs were submitted within the same clock tick.
 
 Every transition and per-task completion is also appended to the job's
 in-memory **event feed**, which the ``/v1/jobs/<id>/stream`` long-poll
@@ -36,8 +32,8 @@ Status machine::
     queued -> cancelled              cancel before a worker claimed the job
 
 ``failed`` and ``cancelled`` are re-submittable: submitting the same spec
-again re-enqueues the existing job (at the back of its priority class), and
-resume picks up from its store.
+again re-enqueues the existing job (at the back of the queue), and resume
+picks up from its store.
 """
 
 from __future__ import annotations
@@ -60,7 +56,6 @@ __all__ = [
     "ACTIVE_STATUSES",
     "Job",
     "JobQueue",
-    "QuotaError",
     "TERMINAL_STATUSES",
 ]
 
@@ -78,14 +73,6 @@ MAX_EVENTS_RETAINED = 4096
 MAX_EVENTS_TERMINAL = 512
 
 
-class QuotaError(Exception):
-    """A per-owner job quota rejected a submission (HTTP 429)."""
-
-    def __init__(self, message: str, retry_after_s: float = 5.0):
-        super().__init__(message)
-        self.retry_after_s = retry_after_s
-
-
 @dataclass
 class Job:
     """One submitted campaign and its execution state."""
@@ -94,13 +81,11 @@ class Job:
     spec: CampaignSpec
     store_path: Path
     status: str = "queued"
-    #: Scheduling class (higher runs first); mirrors ``spec.priority``.
-    priority: int = 0
-    #: Queue-wide submission sequence number: the FIFO tie-breaker within a
-    #: priority class.  Persisted, so recovery keeps the original order.
+    #: Queue-wide submission sequence number: the FIFO claim order.
+    #: Persisted, so recovery keeps the original order.
     seq: int = 0
     #: Principals that submitted this spec (first one first); used for
-    #: quota accounting and submit-role visibility.
+    #: submit-role visibility.
     owners: List[str] = field(default_factory=list)
     submitted_at: float = field(default_factory=time.time)
     started_at: Optional[float] = None
@@ -169,7 +154,6 @@ class Job:
             "job_id": self.job_id,
             "name": self.spec.name,
             "status": self.status,
-            "priority": self.priority,
             "owners": list(self.owners),
             "submitted_at": self.submitted_at,
             "started_at": self.started_at,
@@ -189,7 +173,7 @@ class Job:
 
 
 class JobQueue:
-    """Thread-safe stable priority queue of jobs with on-disk persistence.
+    """Thread-safe FIFO queue of jobs with on-disk persistence.
 
     The HTTP handlers (submit/status/cancel/stream) and the worker threads
     (claim/progress/finish) share one queue; every method takes the internal
@@ -216,76 +200,39 @@ class JobQueue:
         self._lock = threading.Lock()
         self._claim_cond = threading.Condition(self._lock)
         self._jobs: Dict[str, Job] = {}
-        #: job_id -> (-priority, seq): ``claim`` pops the minimum, i.e. the
-        #: highest priority first and FIFO within one priority class.
-        self._pending: Dict[str, Tuple[int, int]] = {}
+        #: Queued job ids in claim order (a dict for O(1) cancel): enqueue
+        #: appends, ``claim`` pops the first entry.
+        self._pending: Dict[str, None] = {}
         self._next_seq = 0
 
     # ------------------------------------------------------------------
     def submit(
-        self,
-        spec: CampaignSpec,
-        *,
-        owner: Optional[str] = None,
-        max_queued: Optional[int] = None,
-        max_active: Optional[int] = None,
+        self, spec: CampaignSpec, *, owner: Optional[str] = None
     ) -> Tuple[Job, bool]:
         """Enqueue a campaign; returns ``(job, created)``.
 
         The job id is the campaign fingerprint, so submitting an identical
         spec while a job is queued, running or done returns the existing job
-        (``created=False``) instead of scheduling duplicate work — though a
-        resubmission at a *higher* priority escalates a job that is still
-        waiting in the queue (original FIFO slot, new class; never a
-        demotion, so a plain resubmit cannot sink an urgent job).  A
-        failed or cancelled job is *re-enqueued* by the duplicate submission — its
+        (``created=False``) instead of scheduling duplicate work.  A failed
+        or cancelled job is *re-enqueued* by the duplicate submission — its
         store is kept, so the re-run resumes past every task that already
-        finished; it re-joins the back of its priority class (fresh ``seq``).
+        finished; it re-joins the back of the queue (fresh ``seq``).
 
         ``owner`` (the authenticated principal, if any) is recorded on the
-        job; ``max_queued`` / ``max_active`` are that owner's quotas, checked
-        atomically with the enqueue: more than ``max_queued`` queued jobs or
-        ``max_active`` queued+running jobs raises :class:`QuotaError` —
-        except when the submission dedupes onto an existing live job, which
-        schedules no new work and therefore never counts against a quota.
+        job.
         """
         tasks = spec.validate()
         job_id = spec.fingerprint()[:JOB_ID_LENGTH]
         with self._lock:
             existing = self._jobs.get(job_id)
             if existing is not None:
+                self._add_owner_locked(existing, owner)
                 if existing.status in ("queued", "running", "done"):
-                    self._add_owner_locked(existing, owner)
-                    # A deduped resubmission can still *escalate* a job that
-                    # is waiting in the queue ("jump the backlog"); it keeps
-                    # its original seq, i.e. its FIFO slot within the new
-                    # class.  Escalation only: a resubmission at a lower (or
-                    # default) priority must not demote the job — priority
-                    # is outside the fingerprint, so any co-owner's plain
-                    # resubmit would otherwise silently sink an urgent job.
-                    # Running/done jobs are past scheduling either way.
-                    if (
-                        existing.status == "queued"
-                        and spec.priority > existing.priority
-                    ):
-                        existing.priority = spec.priority
-                        if existing.job_id in self._pending:
-                            self._pending[existing.job_id] = (
-                                -existing.priority,
-                                existing.seq,
-                            )
-                        self._emit_locked(
-                            existing, "priority", priority=existing.priority
-                        )
-                        self._persist(existing)
                     self._count_submit_locked(owner, "deduped")
                     return existing, False
                 # failed / cancelled: re-enqueue for a resumed re-run.
-                self._check_quota_locked(owner, max_queued, max_active)
-                self._add_owner_locked(existing, owner)
                 existing.status = "queued"
                 existing.history.append("queued")
-                existing.priority = spec.priority
                 existing.seq = self._take_seq_locked()
                 existing.error = None
                 existing.started_at = None
@@ -301,12 +248,10 @@ class JobQueue:
                 self._persist(existing)
                 self._count_submit_locked(owner, "requeued")
                 return existing, False
-            self._check_quota_locked(owner, max_queued, max_active)
             job = Job(
                 job_id=job_id,
                 spec=spec,
                 store_path=self.stores_dir / f"{job_id}.jsonl",
-                priority=spec.priority,
                 seq=self._take_seq_locked(),
                 owners=[owner] if owner is not None else [],
                 tasks_total=len(tasks),
@@ -332,7 +277,7 @@ class JobQueue:
         return seq
 
     def _enqueue_locked(self, job: Job) -> None:
-        self._pending[job.job_id] = (-job.priority, job.seq)
+        self._pending[job.job_id] = None
         self._claim_cond.notify_all()
 
     def _add_owner_locked(self, job: Job, owner: Optional[str]) -> None:
@@ -340,39 +285,8 @@ class JobQueue:
             job.owners.append(owner)
             self._persist(job)
 
-    def _check_quota_locked(
-        self,
-        owner: Optional[str],
-        max_queued: Optional[int],
-        max_active: Optional[int],
-    ) -> None:
-        if owner is None or (max_queued is None and max_active is None):
-            return
-        queued = active = 0
-        for job in self._jobs.values():
-            if not job.owned_by(owner):
-                continue
-            if job.status == "queued":
-                queued += 1
-                active += 1
-            elif job.status == "running":
-                active += 1
-        if max_queued is not None and queued >= max_queued:
-            raise QuotaError(
-                f"quota exceeded for {owner!r}: {queued} job(s) already queued "
-                f"(max_queued={max_queued})"
-            )
-        if max_active is not None and active >= max_active:
-            raise QuotaError(
-                f"quota exceeded for {owner!r}: {active} job(s) queued or running "
-                f"(max_active={max_active})"
-            )
-
     def claim(self, timeout: Optional[float] = None) -> Optional[Job]:
-        """Pop the next queued job and mark it running (None on timeout).
-
-        "Next" = highest priority; submission order within a priority class.
-        """
+        """Pop the oldest queued job and mark it running (None on timeout)."""
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._lock:
             # Loop until the deadline: spurious condition wake-ups must not
@@ -384,7 +298,7 @@ class JobQueue:
                 if remaining is not None and remaining <= 0:
                     return None
                 self._claim_cond.wait(remaining)
-            job_id = min(self._pending, key=self._pending.__getitem__)
+            job_id = next(iter(self._pending))
             del self._pending[job_id]
             job = self._jobs[job_id]
             job.status = "running"
@@ -580,9 +494,10 @@ class JobQueue:
         persisted per-queue ``seq`` is the sort key (files whose payloads
         predate it fall back to ``submitted_at``), so recovery is immune to
         directory-listing order and to submissions that shared one clock
-        tick.  Priority classes are likewise restored, so a high-priority
-        job queued behind a long run still claims first after a restart.
-        Unreadable job files are skipped rather than sinking the service.
+        tick.  Snapshots written while the queue scheduled by priority carry a
+        ``"priority"`` key, which is ignored: they too recover in ``seq``
+        order.  Unreadable job files are skipped rather than sinking the
+        service.
         """
         requeued: List[str] = []
         entries = []
@@ -621,7 +536,6 @@ class JobQueue:
                     spec=spec,
                     store_path=self.stores_dir / f"{job_id}.jsonl",
                     status="queued" if interrupted else status,
-                    priority=int(payload.get("priority", spec.priority)),
                     seq=self._take_seq_locked(),
                     owners=[str(o) for o in payload.get("owners", [])],
                     submitted_at=float(payload.get("submitted_at", time.time())),
@@ -657,7 +571,7 @@ class JobQueue:
                     job.tasks_wall_s = 0.0
                     job.tasks_queue_wait_s = 0.0
                     job.history.append("queued")
-                    self._pending[job_id] = (-job.priority, job.seq)
+                    self._pending[job_id] = None
                     self._emit_locked(job, "status", status="queued", recovered=True)
                     requeued.append(job_id)
                 self._jobs[job_id] = job

@@ -20,8 +20,6 @@ TERMINAL_STATUSES = ("done", "failed", "cancelled")
 
 ERR_UNAUTHORIZED = "unauthorized"  # 401: missing, unknown or revoked token
 ERR_FORBIDDEN = "forbidden"  # 403: authenticated but not allowed
-ERR_RATE_LIMITED = "rate_limited"  # 429: submit token bucket empty
-ERR_QUOTA_EXCEEDED = "quota_exceeded"  # 429: per-token job quota reached
 ERR_NOT_FOUND = "not_found"  # 404: unknown job or route
 ERR_METHOD_NOT_ALLOWED = "method_not_allowed"  # 405
 ERR_INVALID_REQUEST = "invalid_request"  # 400: malformed JSON / params

@@ -470,15 +470,6 @@ class Warehouse:
             env = json.loads(handle.read(entry.length))
         return env.get("r", {})
 
-    def records_by_source(self) -> Dict[str, int]:
-        """Live record count per ingest source (usage-rollup substrate)."""
-        with self._mutex:
-            self._refresh()
-            counts: Dict[str, int] = {}
-            for entry in self._entries.values():
-                counts[entry.source] = counts.get(entry.source, 0) + 1
-            return counts
-
     # ------------------------------------------------------------------
     # Compaction
     # ------------------------------------------------------------------

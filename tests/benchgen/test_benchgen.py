@@ -100,6 +100,34 @@ class TestRandomLogic:
             fanin, distinct = json.loads(line)
             assert fanin == distinct <= n_inputs
 
+    @pytest.mark.parametrize(
+        "n_inputs, n_outputs, n_gates, width",
+        [
+            (2, 1, 8, 6),  # the tree budget once took 10 of these 8 gates
+            (2, 2, 12, 6),
+            (3, 2, 12, 6),
+            (5, 1, 20, 6),
+            (2, 1, 6, 3),
+            (4, 1, 10, 1),
+            (16, 4, 80, 6),
+        ],
+    )
+    def test_gate_count_is_honoured(self, n_inputs, n_outputs, n_gates, width):
+        """Reduction trees are clamped to the primary inputs that exist,
+        and their gate budget is reserved at that clamped width."""
+        for seed in range(3):
+            spec = RandomLogicSpec(
+                "t",
+                n_inputs=n_inputs,
+                n_outputs=n_outputs,
+                n_gates=n_gates,
+                seed=seed,
+                reduction_tree_width=width,
+            )
+            circuit = generate_random_circuit(spec)
+            assert validate_circuit(circuit).ok
+            assert len(circuit.gate_names()) == n_gates
+
     def test_only_bench8_supported(self):
         from repro.netlist import GEN65
 

@@ -291,6 +291,19 @@ class TestJsonRoundTrip:
     def test_unknown_field_rejected(self):
         with pytest.raises(ValueError, match="unknown CampaignSpec field"):
             CampaignSpec.from_json_dict({"name": "x", "frobnicate": 1})
+        with pytest.raises(ValueError, match="unknown CampaignSpec field.*frobnicate"):
+            CampaignSpec.from_json_dict({"name": "x", "priority": 1, "frobnicate": 1})
+
+    @pytest.mark.parametrize("priority", [0, 5, -1, "urgent"])
+    def test_legacy_priority_key_is_dropped(self, priority):
+        """Job snapshots and clients from releases whose service scheduled by
+        priority send a ``"priority"`` key: it loads and drops out, leaving
+        the spec and its fingerprint as they are without it."""
+        spec = self._rich_spec()
+        payload = json.loads(json.dumps(spec.to_json_dict()))
+        restored = CampaignSpec.from_json_dict({**payload, "priority": priority})
+        assert restored.to_json_dict() == spec.to_json_dict()
+        assert restored.fingerprint() == spec.fingerprint()
 
     def test_non_object_payload_rejected(self):
         with pytest.raises(ValueError, match="JSON object"):

@@ -1,4 +1,4 @@
-"""Bearer-token auth, roles, quotas and rate limits over real loopback HTTP."""
+"""Bearer-token auth, roles and job ownership over real loopback HTTP."""
 
 import json
 import os
@@ -12,7 +12,7 @@ from repro.runner.cli import main
 from repro.service import (
     AuthError,
     ServiceClient,
-    ThrottledError,
+    TokenInfo,
     TokenRegistry,
 )
 from repro.service.auth import parse_tokens
@@ -104,10 +104,12 @@ class TestAuthentication:
     def test_parse_tokens_validates_fields(self):
         with pytest.raises(ValueError, match="role"):
             parse_tokens({"tokens": {"t": {"name": "x", "role": "root"}}})
-        with pytest.raises(ValueError, match="max_queued"):
-            parse_tokens({"tokens": {"t": {"name": "x", "max_queued": -1}}})
         with pytest.raises(ValueError, match="unknown token field"):
             parse_tokens({"tokens": {"t": {"name": "x", "frobnicate": 1}}})
+        with pytest.raises(ValueError, match="unknown token field.*frobnicate"):
+            parse_tokens(
+                {"tokens": {"t": {"name": "x", "max_queued": 2, "frobnicate": 1}}}
+            )
         with pytest.raises(ValueError, match="tokens file"):
             parse_tokens(["not", "a", "mapping"])
 
@@ -134,6 +136,32 @@ class TestOwnershipAndRoles:
             job_a["job_id"],
             job_b["job_id"],
         }
+
+    def test_submit_role_holds_many_queued_jobs_and_sees_only_its_own(
+        self, auth_service
+    ):
+        """No per-owner cap: a backlog of queued jobs is admitted, and the
+        listing and warehouse views stay limited to the owner's jobs."""
+        service, _ = auth_service
+        service.worker.stop()
+        alice = ServiceClient(service.url, token="alice-secret")
+        bob = ServiceClient(service.url, token="bob-secret")
+        alice_ids = {
+            alice.submit(summary_spec(f"backlog-{i}"))["job"]["job_id"]
+            for i in range(6)
+        }
+        bob_id = bob.submit(summary_spec("bob-backlog"))["job"]["job_id"]
+        assert len(alice_ids) == 6
+        listed = alice.jobs()
+        assert {snap["job_id"] for snap in listed} == alice_ids
+        assert all(snap["status"] == "queued" for snap in listed)
+        assert {snap["job_id"] for snap in bob.jobs()} == {bob_id}
+        service.worker.start()
+        for job_id in alice_ids:
+            assert alice.wait(job_id, timeout=120)["status"] == "done"
+        assert bob.wait(bob_id, timeout=120)["status"] == "done"
+        assert alice.warehouse_query()["count"] == 12  # two targets per job
+        assert bob.warehouse_query()["count"] == 2
 
     def test_foreign_job_access_is_an_indistinguishable_404(self, auth_service):
         """Another tenant's job answers exactly like a nonexistent one —
@@ -198,142 +226,52 @@ class TestOwnershipAndRoles:
         assert main(["status", "--url", service.url]) == 0
 
 
-class TestQuotas:
-    @pytest.fixture
-    def quota_service(self, service_factory, tmp_path):
-        tokens = dict(BASE_TOKENS)
-        tokens["alice-secret"] = {
-            "name": "alice",
-            "role": "submit",
-            "max_active": 2,
-        }
-        tokens_path = _write_tokens(tmp_path / "tokens.json", tokens)
-        return service_factory(tokens_file=tokens_path, job_slots=1)
+LEGACY_LIMITS = {
+    "max_queued": 1,
+    "max_active": 1,
+    "submit_rate": 0.25,
+    "submit_burst": 1,
+    "max_priority": 0,
+}
 
-    def test_quota_boundary_limit_vs_limit_plus_one(self, quota_service):
-        """max_active=2: the second submission is admitted, the third 429s.
 
-        The claim pump is paused so the backlog deterministically stays
-        queued (tiny jobs would otherwise drain before the boundary probe).
-        """
-        quota_service.worker.stop()
-        alice = ServiceClient(quota_service.url, token="alice-secret")
-        assert alice.submit(summary_spec("quota-1"))["created"]
-        assert alice.submit(summary_spec("quota-2"))["created"]  # at the limit
-        with pytest.raises(ThrottledError) as excinfo:
-            alice.submit(summary_spec("quota-over"))  # limit + 1
-        assert excinfo.value.status == 429
-        assert excinfo.value.code == "quota_exceeded"
-        assert excinfo.value.retry_after_s is not None
-        # Quota is per-principal: bob is unaffected.
-        bob = ServiceClient(quota_service.url, token="bob-secret")
-        assert bob.submit(summary_spec("bob-unaffected"))["created"]
-        quota_service.worker.start()
-        for snap in ServiceClient(quota_service.url, token="ops-secret").jobs():
-            ServiceClient(quota_service.url, token="ops-secret").wait(
-                snap["job_id"], timeout=120
-            )
+class TestLegacyTokens:
+    """Tokens files written for releases that enforced per-token limits."""
 
-    def test_dedupe_never_counts_against_quota(self, quota_service):
-        quota_service.worker.stop()
-        alice = ServiceClient(quota_service.url, token="alice-secret")
-        alice.submit(summary_spec("dedupe-a"))
-        alice.submit(summary_spec("dedupe-b"))
-        # At the limit: a duplicate of a live spec schedules nothing and
-        # therefore succeeds where a fresh spec would 429.
-        again = alice.submit(summary_spec("dedupe-a"))
-        assert again["created"] is False
-        with pytest.raises(ThrottledError):
-            alice.submit(summary_spec("dedupe-fresh"))
-        quota_service.worker.start()
-
-    def test_quota_frees_when_jobs_finish(self, quota_service):
-        alice = ServiceClient(quota_service.url, token="alice-secret")
-        first = alice.submit(summary_spec("free-1"))["job"]
-        alice.wait(first["job_id"], timeout=120)
-        second = alice.submit(summary_spec("free-2"))["job"]
-        alice.wait(second["job_id"], timeout=120)
-        third = alice.submit(summary_spec("free-3"))["job"]
-        assert alice.wait(third["job_id"], timeout=120)["status"] == "done"
-
-    def test_retry_after_header_on_429(self, quota_service):
-        """The HTTP response itself carries Retry-After (not just the JSON)."""
-        import urllib.error
-        import urllib.request
-
-        quota_service.worker.stop()
-        alice = ServiceClient(quota_service.url, token="alice-secret")
-        alice.submit(summary_spec("hdr-1"))
-        alice.submit(summary_spec("hdr-2"))
-        request = urllib.request.Request(
-            quota_service.url + "/v1/jobs",
-            data=json.dumps({"spec": summary_spec("hdr-over").to_json_dict()}).encode(),
-            method="POST",
-            headers={
-                "Content-Type": "application/json",
-                "Authorization": "Bearer alice-secret",
-            },
+    def test_legacy_limit_fields_load_and_are_ignored(self):
+        tokens = parse_tokens(
+            {
+                "tokens": {
+                    "a": {"name": "alice", "role": "submit", **LEGACY_LIMITS},
+                    "o": {"name": "ops", "role": "admin", "max_priority": 3},
+                }
+            }
         )
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            urllib.request.urlopen(request, timeout=10)
-        assert excinfo.value.code == 429
-        assert int(excinfo.value.headers["Retry-After"]) >= 1
-        body = json.loads(excinfo.value.read())
-        assert body["error"]["code"] == "quota_exceeded"
-        quota_service.worker.start()
-
-
-class TestPriorityCaps:
-    @pytest.fixture
-    def capped_service(self, service_factory, tmp_path):
-        tokens = dict(BASE_TOKENS)
-        tokens["alice-secret"] = {
-            "name": "alice",
-            "role": "submit",
-            "max_priority": 3,
+        assert tokens == {
+            "a": TokenInfo(name="alice", role="submit"),
+            "o": TokenInfo(name="ops", role="admin"),
         }
-        tokens_path = _write_tokens(tmp_path / "tokens.json", tokens)
-        return service_factory(tokens_file=tokens_path, max_priority_per_owner=1)
 
-    def _prio_payload(self, name, priority):
-        payload = summary_spec(name).to_json_dict()
-        payload["priority"] = priority
-        return payload
-
-    def test_token_cap_boundary(self, capped_service):
-        alice = ServiceClient(capped_service.url, token="alice-secret")
-        ok = alice.submit(self._prio_payload("cap-ok", 3))  # at the cap
-        assert ok["job"]["priority"] == 3
-        with pytest.raises(AuthError) as excinfo:
-            alice.submit(self._prio_payload("cap-over", 4))  # cap + 1
-        assert excinfo.value.status == 403
-        assert excinfo.value.code == "forbidden"
-        # Demotion below default is never escalation: always allowed.
-        assert alice.submit(self._prio_payload("cap-neg", -5))["created"]
-
-    def test_service_default_cap_applies_without_a_token_field(
-        self, capped_service
+    def test_legacy_tokens_file_serves_without_limits(
+        self, service_factory, tmp_path
     ):
-        bob = ServiceClient(capped_service.url, token="bob-secret")
-        assert bob.submit(self._prio_payload("svc-cap-ok", 1))["created"]
-        with pytest.raises(AuthError):
-            bob.submit(self._prio_payload("svc-cap-over", 2))
-
-    def test_admin_is_uncapped_by_default(self, capped_service):
-        ops = ServiceClient(capped_service.url, token="ops-secret")
-        job = ops.submit(self._prio_payload("admin-high", 10_000))["job"]
-        assert job["priority"] == 10_000
-
-    def test_escalation_via_dedupe_resubmit_is_blocked(self, capped_service):
-        """Resubmitting an existing spec at a priority above the caller's
-        cap must 403 before it can reprioritise the queued job."""
-        capped_service.worker.stop()
-        alice = ServiceClient(capped_service.url, token="alice-secret")
-        job = alice.submit(self._prio_payload("escalate", 0))["job"]
-        with pytest.raises(AuthError):
-            alice.submit(self._prio_payload("escalate", 99))
-        assert alice.status(job["job_id"])["priority"] == 0
-        capped_service.worker.start()
+        """The old limits (one queued job, a 0.25/s bucket of one, priority
+        cap 0) no longer apply: every submission is admitted."""
+        tokens = dict(BASE_TOKENS)
+        tokens["alice-secret"] = {"name": "alice", "role": "submit", **LEGACY_LIMITS}
+        tokens_path = _write_tokens(tmp_path / "tokens.json", tokens)
+        service = service_factory(tokens_file=tokens_path)
+        assert len(service.auth) == 3
+        service.worker.stop()
+        alice = ServiceClient(service.url, token="alice-secret")
+        ids = [
+            alice.submit(summary_spec(f"legacy-{i}"))["job"]["job_id"]
+            for i in range(4)
+        ]
+        assert len(set(ids)) == 4
+        service.worker.start()
+        for job_id in ids:
+            assert alice.wait(job_id, timeout=120)["status"] == "done"
 
 
 class TestBodySizeCap:
@@ -359,79 +297,3 @@ class TestBodySizeCap:
             conn.close()
         # The listener is unharmed.
         assert ServiceClient(service.url).health()["status"] == "ok"
-
-
-class TestRateLimits:
-    def test_service_wide_submit_rate(self, service_factory):
-        """Anonymous (auth off) traffic still honours the service bucket."""
-        service = service_factory(submit_rate=0.5, submit_burst=2)
-        client = ServiceClient(service.url)
-        assert client.submit(summary_spec("rate-1"))["created"]
-        assert client.submit(summary_spec("rate-2"))["created"]
-        with pytest.raises(ThrottledError) as excinfo:
-            client.submit(summary_spec("rate-3"))
-        assert excinfo.value.code == "rate_limited"
-        assert excinfo.value.retry_after_s >= 1
-
-    def test_per_token_rate_overrides_service_default(
-        self, service_factory, tmp_path
-    ):
-        tokens = {
-            "slow-secret": {
-                "name": "slow",
-                "role": "submit",
-                "submit_rate": 0.25,
-                "submit_burst": 1,
-            },
-            "fast-secret": {"name": "fast", "role": "submit"},
-        }
-        tokens_path = _write_tokens(tmp_path / "tokens.json", tokens)
-        service = service_factory(tokens_file=tokens_path)
-        slow = ServiceClient(service.url, token="slow-secret")
-        fast = ServiceClient(service.url, token="fast-secret")
-        assert slow.submit(summary_spec("slow-1"))["created"]
-        with pytest.raises(ThrottledError):
-            slow.submit(summary_spec("slow-2"))
-        # The unlimited token is not collateral damage.
-        for i in range(4):
-            assert fast.submit(summary_spec(f"fast-{i}"))["created"]
-
-    def test_same_name_token_rotation_cannot_reset_the_bucket(
-        self, service_factory, tmp_path
-    ):
-        """Two tokens sharing a principal name (key rotation) but carrying
-        different rates each drain their own bucket — alternating secrets
-        must not hand the client a freshly refilled bucket every request."""
-        tokens = {
-            "old-secret": {
-                "name": "alice",
-                "role": "submit",
-                "submit_rate": 0.25,
-                "submit_burst": 1,
-            },
-            "new-secret": {
-                "name": "alice",
-                "role": "submit",
-                "submit_rate": 0.5,
-                "submit_burst": 1,
-            },
-        }
-        tokens_path = _write_tokens(tmp_path / "tokens.json", tokens)
-        service = service_factory(tokens_file=tokens_path)
-        old = ServiceClient(service.url, token="old-secret")
-        new = ServiceClient(service.url, token="new-secret")
-        assert old.submit(summary_spec("rot-1"))["created"]
-        assert new.submit(summary_spec("rot-2"))["created"]  # its own burst
-        with pytest.raises(ThrottledError):
-            old.submit(summary_spec("rot-3"))
-        with pytest.raises(ThrottledError):
-            new.submit(summary_spec("rot-4"))
-
-    def test_rate_limit_recovers_after_waiting(self, service_factory):
-        service = service_factory(submit_rate=5.0, submit_burst=1)
-        client = ServiceClient(service.url)
-        assert client.submit(summary_spec("recover-1"))["created"]
-        with pytest.raises(ThrottledError) as excinfo:
-            client.submit(summary_spec("recover-2"))
-        time.sleep(min(1.0, (excinfo.value.retry_after_s or 0.2) + 0.05))
-        assert client.submit(summary_spec("recover-2"))["created"]

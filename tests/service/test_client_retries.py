@@ -8,7 +8,7 @@ import urllib.error
 
 import pytest
 
-from repro.service import ServiceClient, ThrottledError
+from repro.service import ServiceClient, ServiceError
 from repro.service.client import RETRY_MAX_SLEEP_S
 
 
@@ -60,16 +60,20 @@ def transport(monkeypatch):
 
 class TestClientRetries:
     def test_default_is_fail_fast(self, transport):
-        transport["outcomes"] = [_http_error(429, code="throttled")]
+        transport["outcomes"] = [_http_error(503, retry_after=1)]
         client = ServiceClient("http://test")
-        with pytest.raises(ThrottledError):
+        with pytest.raises(ServiceError) as excinfo:
             client.jobs()
+        assert excinfo.value.status == 503
+        assert excinfo.value.retry_after_s == 1.0
         assert transport["calls"] == 1
         assert transport["sleeps"] == []
 
-    def test_429_honours_retry_after(self, transport):
+    def test_503_honours_retry_after(self, transport):
+        """A fronting proxy or a draining service may still answer 503 with
+        a Retry-After; fleet drainers sleep for exactly that long."""
         transport["outcomes"] = [
-            _http_error(429, code="throttled", retry_after=3),
+            _http_error(503, code="unavailable", retry_after=3),
             {"jobs": []},
         ]
         client = ServiceClient("http://test", retries=2)
@@ -117,10 +121,12 @@ class TestClientRetries:
         assert client.jobs() == []
         assert transport["sleeps"] == [0.2]
 
-    def test_non_retryable_statuses_fail_immediately(self, transport):
-        transport["outcomes"] = [_http_error(400, code="invalid_request")]
+    @pytest.mark.parametrize("status", [400, 429])
+    def test_non_retryable_statuses_fail_immediately(self, transport, status):
+        transport["outcomes"] = [_http_error(status, retry_after=1)]
         client = ServiceClient("http://test", retries=5)
-        with pytest.raises(Exception) as excinfo:
+        with pytest.raises(ServiceError) as excinfo:
             client.jobs()
-        assert excinfo.value.status == 400
+        assert type(excinfo.value) is ServiceError
+        assert excinfo.value.status == status
         assert transport["calls"] == 1

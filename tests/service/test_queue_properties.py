@@ -1,11 +1,11 @@
 """Hypothesis property test: arbitrary submit/claim/finish/cancel
 interleavings keep :class:`JobQueue` bookkeeping consistent.
 
-The model mirrors the documented semantics — dedupe by fingerprint, stable
-priority scheduling, quota-free requeue of failed/cancelled jobs — and the
+The model mirrors the documented semantics — dedupe by fingerprint, FIFO
+scheduling, requeue of failed/cancelled jobs at the back — and the
 properties assert that the real queue never disagrees with it: status counts
-add up, claim order is exactly (priority desc, seq asc), dedupe always
-returns the same job id, and terminal transitions stick.
+add up, claim order is exactly ``seq`` order, dedupe always returns the same
+job id, and terminal transitions stick.
 """
 
 import tempfile
@@ -25,9 +25,7 @@ N_SPECS = 4
 
 
 def _spec(i: int):
-    spec = summary_spec(f"prop-{i}")
-    spec.priority = i % 3  # exercise multiple priority classes
-    return spec
+    return summary_spec(f"prop-{i}")
 
 
 _ops = st.lists(
@@ -46,22 +44,21 @@ class _Model:
 
     def __init__(self):
         self.status = {}  # spec index -> expected job status
-        self.pending = []  # [(neg_priority, seq, index)] — expected claim order
+        self.pending = []  # [(seq, index)] — expected claim order
         self.running = []  # indices claimed but not finished, in claim order
         self.seq = 0
 
     def submit(self, i):
-        spec = _spec(i)
         current = self.status.get(i)
         if current in ("queued", "running", "done"):
             return False  # dedupe: nothing scheduled
         self.status[i] = "queued"
-        self.pending.append((-spec.priority, self.seq, i))
+        self.pending.append((self.seq, i))
         self.seq += 1
         return True
 
     def expected_claim(self):
-        return min(self.pending)[2] if self.pending else None
+        return min(self.pending)[1] if self.pending else None
 
     def claim(self, i):
         self.pending.remove(min(self.pending))
@@ -75,7 +72,7 @@ class _Model:
 
     def cancel(self, i):
         if self.status.get(i) == "queued":
-            self.pending = [entry for entry in self.pending if entry[2] != i]
+            self.pending = [entry for entry in self.pending if entry[1] != i]
             self.status[i] = "cancelled"
 
 
@@ -140,7 +137,7 @@ def test_queue_counts_and_order_stay_consistent(ops):
                     continue
                 assert live == expected_status, (index, expected_status, live)
 
-        # Drain: the remaining backlog claims in exact (priority, seq) order.
+        # Drain: the remaining backlog claims in exact seq order.
         while model.pending:
             expected = model.expected_claim()
             job = queue.claim(timeout=0)
@@ -154,7 +151,7 @@ def test_queue_counts_and_order_stay_consistent(ops):
 def test_persistence_round_trips_any_interleaving(ops):
     """Whatever the interleaving, a recovered queue agrees with the dead
     one: same job ids, terminal statuses intact, active jobs re-queued in
-    the original (priority, submission) order."""
+    the original submission order."""
     with tempfile.TemporaryDirectory(prefix="repro-queue-prop-") as tmp:
         queue = JobQueue(Path(tmp) / "state")
         claimed = []
@@ -172,10 +169,10 @@ def test_persistence_round_trips_any_interleaving(ops):
                     if job.spec.name == f"prop-{arg}":
                         queue.cancel(job.job_id)
         before = {job.job_id: job for job in queue.jobs()}
-        # Expected post-recovery claim order: active jobs by (prio, seq).
+        # Expected post-recovery claim order: active jobs by seq.
         active = sorted(
             (
-                (-job.priority, job.seq, job.job_id)
+                (job.seq, job.job_id)
                 for job in before.values()
                 if job.status in ("queued", "running")
                 and not job.cancel_event.is_set()
@@ -195,4 +192,4 @@ def test_persistence_round_trips_any_interleaving(ops):
             if job is None:
                 break
             drained.append(job.job_id)
-        assert drained == [job_id for _, _, job_id in active]
+        assert drained == [job_id for _, job_id in active]

@@ -1,5 +1,5 @@
 """Warehouse endpoints over real loopback HTTP: cross-campaign queries,
-usage rollups, ownership masking and compaction byte-identity."""
+ownership masking and compaction byte-identity."""
 
 import json
 
@@ -40,9 +40,6 @@ class TestWarehouseQueries:
         assert payload["count"] == 4  # two targets per campaign
         names = {record["task_id"].split("/", 1)[0] for record in payload["records"]}
         assert names == {"camp-a", "camp-b"}
-        usage = client.warehouse_usage()
-        assert usage["anonymous"]["jobs"] == 2
-        assert usage["anonymous"]["records"] == 4
         stats = client.warehouse_stats()
         assert stats["records"] == 4
         assert sorted(stats["sources"]) == sorted([first, second])
@@ -130,14 +127,6 @@ class TestWarehouseAuth:
             payload = clients[name].warehouse_query()
             assert payload["count"] == 2
         assert clients["ops"].warehouse_query()["count"] == 4
-
-    def test_usage_rollup_masks_other_tenants(self, clients):
-        _submit_and_wait(clients["alice"], "camp-alice")
-        _submit_and_wait(clients["bob"], "camp-bob")
-        assert set(clients["alice"].warehouse_usage()) == {"alice"}
-        ops_usage = clients["ops"].warehouse_usage()
-        assert set(ops_usage) == {"alice", "bob"}
-        assert ops_usage["alice"]["records"] == 2
 
     def test_worker_tokens_are_refused(self, clients):
         with pytest.raises(ServiceError) as excinfo:

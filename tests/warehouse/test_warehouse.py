@@ -160,7 +160,6 @@ class TestIngest:
         warehouse = Warehouse(tmp_path / "wh")
         added = ingest_state_dir(warehouse, tmp_path / "state")
         assert added == {"aaaa": 1, "bbbb": 1}
-        assert sorted(warehouse.records_by_source()) == ["aaaa", "bbbb"]
 
     def test_same_fingerprint_across_sources_does_not_collide(self, tmp_path):
         """Two campaigns running the same task keep separate records;
