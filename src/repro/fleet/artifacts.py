@@ -10,14 +10,14 @@ pushed back (best-effort) so other drainers — and the coordinator's own
 
 Remote failures never fail a task: a fetch error is a miss (the artifact
 regenerates locally, determinism makes that safe) and a push error only
-costs other workers a cache hit.  Per-direction transfer counters feed
-the ``repro_fleet_artifact_transfers_total`` metric.
+costs other workers a cache hit.  Each transfer outcome is counted in the
+``repro_fleet_artifact_transfers_total{direction, outcome}`` series.
 """
 
 from __future__ import annotations
 
 import pickle
-from typing import Dict, Optional
+from typing import Optional
 from urllib.error import URLError
 
 from ..obs import get_registry
@@ -30,30 +30,14 @@ __all__ = ["FleetArtifactCache"]
 class FleetArtifactCache(ArtifactCache):
     """Two-tier cache: local disk in front of the service object store."""
 
-    def __init__(
-        self,
-        root=None,
-        *,
-        remote=None,
-        enabled: bool = True,
-        push: bool = True,
-    ):
-        super().__init__(root, enabled=enabled)
+    def __init__(self, root=None, *, remote=None):
+        super().__init__(root)
         #: A :class:`~repro.service.client.ServiceClient` (or anything with
         #: ``get_artifact``/``put_artifact``); None = purely local.
         self.remote = remote
-        self.push = push
-        #: Lifetime transfer outcomes, mirrored into the metrics registry.
-        self.transfers: Dict[str, int] = {
-            "fetch_hit": 0,
-            "fetch_miss": 0,
-            "fetch_error": 0,
-            "push_ok": 0,
-            "push_error": 0,
-        }
 
-    def _transfer(self, direction: str, outcome: str) -> None:
-        self.transfers[f"{direction}_{outcome}"] += 1
+    @staticmethod
+    def _transfer(direction: str, outcome: str) -> None:
         get_registry().inc(
             "repro_fleet_artifact_transfers_total",
             direction=direction,
@@ -89,7 +73,7 @@ class FleetArtifactCache(ArtifactCache):
 
     def put(self, kind: str, key: str, value: object) -> Optional[object]:
         path = super().put(kind, key, value)
-        if self.remote is not None and self.push:
+        if self.remote is not None:
             try:
                 data = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
                 self.remote.put_artifact(kind, key, data)

@@ -20,7 +20,6 @@ from .cache import (
     ArtifactCache,
     CACHE_VERSION,
     CacheEntry,
-    CacheStats,
     default_cache_dir,
     fingerprint,
 )
@@ -40,6 +39,7 @@ from .campaign import (
     registered_attacks,
 )
 from .executor import (
+    CacheStats,
     TaskResult,
     campaign_cache_stats,
     execute_task,

@@ -23,12 +23,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import pickle
 import tempfile
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
@@ -42,11 +43,9 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
 __all__ = [
     "ArtifactCache",
     "CacheEntry",
-    "CacheStats",
     "CACHE_MAX_AGE_ENV",
     "CACHE_MAX_BYTES_ENV",
     "CACHE_VERSION",
-    "COUNTERS_FILENAME",
     "atomic_write",
     "cache_budget_from_env",
     "canonical_json",
@@ -69,8 +68,18 @@ _SIZE_UNITS = {"k": 1024, "m": 1024**2, "g": 1024**3, "t": 1024**4}
 _AGE_UNITS = {"s": 1, "m": 60, "h": 3600, "d": 86400, "w": 604800}
 
 
+def _finite_non_negative(value: float, text: str) -> float:
+    # A negative budget would evict everything; an infinite size has no int.
+    if not math.isfinite(value) or value < 0:
+        raise ValueError(f"expected a finite non-negative amount, got {text!r}")
+    return value
+
+
 def parse_size(text: str) -> int:
-    """``"500M"``, ``"2G"``, ``"1048576"`` -> bytes."""
+    """``"500M"``, ``"2G"``, ``"1048576"`` -> bytes.
+
+    Raises ``ValueError`` on negative or non-finite input.
+    """
     t = text.strip().lower()
     if t.endswith("b"):
         t = t[:-1]
@@ -78,17 +87,20 @@ def parse_size(text: str) -> int:
     if t and t[-1] in _SIZE_UNITS:
         multiplier = _SIZE_UNITS[t[-1]]
         t = t[:-1]
-    return int(float(t) * multiplier)
+    return int(_finite_non_negative(float(t) * multiplier, text))
 
 
 def parse_age(text: str) -> float:
-    """``"12h"``, ``"7d"``, ``"3600"`` -> seconds."""
+    """``"12h"``, ``"7d"``, ``"3600"`` -> seconds.
+
+    Raises ``ValueError`` on negative or non-finite input.
+    """
     t = text.strip().lower()
     multiplier = 1
     if t and t[-1] in _AGE_UNITS:
         multiplier = _AGE_UNITS[t[-1]]
         t = t[:-1]
-    return float(t) * multiplier
+    return _finite_non_negative(float(t) * multiplier, text)
 
 
 def cache_budget_from_env() -> Tuple[Optional[int], Optional[float]]:
@@ -103,13 +115,13 @@ def cache_budget_from_env() -> Tuple[Optional[int], Optional[float]]:
     if raw:
         try:
             max_bytes = parse_size(raw)
-        except (ValueError, OverflowError):  # e.g. "lots", "inf"
+        except ValueError:  # e.g. "lots", "inf", "-1"
             max_bytes = None
     raw = os.environ.get(CACHE_MAX_AGE_ENV, "").strip()
     if raw:
         try:
             max_age = parse_age(raw)
-        except (ValueError, OverflowError):
+        except ValueError:
             max_age = None
     return max_bytes, max_age
 
@@ -182,39 +194,9 @@ class CacheEntry:
     path: Path
 
 
-@dataclass
-class CacheStats:
-    """Hit/miss/write/eviction counters of one :class:`ArtifactCache` handle."""
-
-    hits: int = 0
-    misses: int = 0
-    writes: int = 0
-    evictions: int = 0
-    per_kind: Dict[str, Dict[str, int]] = field(default_factory=dict)
-
-    def count(self, kind: str, event: str) -> None:
-        setattr(self, event, getattr(self, event) + 1)
-        bucket = self.per_kind.setdefault(
-            kind, {"hits": 0, "misses": 0, "writes": 0, "evictions": 0}
-        )
-        bucket[event] += 1
-
-
-#: Cache event -> :class:`CacheStats` counter field.
-_EVENT_FIELDS = {
-    "hit": "hits",
-    "miss": "misses",
-    "write": "writes",
-    "evict": "evictions",
-}
-
-#: Lifetime counters persisted at the cache root for ``repro cache stats``.
-COUNTERS_FILENAME = "counters.json"
-_COUNTERS_LOCKNAME = "counters.lock"
 #: Cross-process eviction lock: gc takes it exclusively, readers that must
 #: not see an artifact vanish mid-read (the fleet artifact endpoints) take
-#: it shared.  Distinct from ``counters.lock`` — gc itself flushes counters
-#: under that lock, so sharing one file would self-deadlock.
+#: it shared.
 _GC_LOCKNAME = "gc.lock"
 
 
@@ -225,25 +207,21 @@ class ArtifactCache:
     no-op, so call sites need no conditionals.
     """
 
-    def __init__(self, root: Optional[os.PathLike] = None, *, enabled: bool = True):
+    def __init__(self, root: Optional[os.PathLike] = None):
         self.root: Optional[Path] = Path(root) if root is not None else None
-        self.enabled = enabled and self.root is not None
-        self.stats = CacheStats()
-        # hit/miss/write/evict counts not yet folded into counters.json.
-        self._pending: Dict[str, int] = {}
+        self.enabled = self.root is not None
 
-    def _count(self, kind: str, event: str) -> None:
-        """Record one cache event in all three sinks.
+    @staticmethod
+    def _count(kind: str, event: str) -> None:
+        """Count one hit, miss, write or evict in the current metrics registry.
 
-        The handle's :class:`CacheStats` (campaign summaries), the current
-        metrics registry (rollups, ``/metricsz``), and the pending lifetime
-        counters flushed to ``counters.json`` for ``repro cache stats``.
+        The series is ``repro_cache_events_total{kind, event}``.  It lands in
+        the process registry (or a task's scoped one under ``REPRO_OBS=1``,
+        which the campaign folds into its telemetry rollup); the service's
+        ``/metricsz`` renders its own registry and does not carry it.  Per
+        task, the record's ``cache`` field says what each artifact kind did.
         """
-        self.stats.count(kind, _EVENT_FIELDS[event])
         get_registry().inc("repro_cache_events_total", kind=kind, event=event)
-        if self.enabled:
-            key = f"{kind}.{event}"
-            self._pending[key] = self._pending.get(key, 0) + 1
 
     # ------------------------------------------------------------------
     def path_for(self, kind: str, key: str) -> Optional[Path]:
@@ -306,62 +284,6 @@ class ArtifactCache:
         except OSError:
             pass
         return value
-
-    # ------------------------------------------------------------------
-    def flush_counters(self) -> None:
-        """Fold pending event counts into ``<root>/counters.json``.
-
-        Lifetime counters survive processes and campaigns so ``repro cache
-        stats`` can report hit/miss/evict history, not just current sizes.
-        An ``fcntl`` lock (where available) serialises concurrent task
-        workers so no increment is lost; persistence is best-effort — on
-        failure the pending counts are kept for a later flush.
-        """
-        if not self.enabled or self.root is None or not self._pending:
-            return
-        pending, self._pending = self._pending, {}
-        path = self.root / COUNTERS_FILENAME
-        try:
-            self.root.mkdir(parents=True, exist_ok=True)
-            with (self.root / _COUNTERS_LOCKNAME).open("a+") as lock_handle:
-                if fcntl is not None:
-                    fcntl.flock(lock_handle.fileno(), fcntl.LOCK_EX)
-                try:
-                    try:
-                        totals = json.loads(path.read_text(encoding="utf-8"))
-                    except (OSError, json.JSONDecodeError):
-                        totals = {}
-                    for key, value in pending.items():
-                        totals[key] = int(totals.get(key, 0)) + int(value)
-                    text = json.dumps(totals, sort_keys=True)
-                    atomic_write(path, lambda handle: handle.write(text.encode()))
-                finally:
-                    if fcntl is not None:
-                        fcntl.flock(lock_handle.fileno(), fcntl.LOCK_UN)
-        except OSError:
-            for key, value in pending.items():
-                self._pending[key] = self._pending.get(key, 0) + value
-
-    def persistent_counters(self) -> Dict[str, Dict[str, int]]:
-        """Lifetime per-kind counters: ``{kind: {hit, miss, write, evict}}``."""
-        if self.root is None:
-            return {}
-        try:
-            totals = json.loads(
-                (self.root / COUNTERS_FILENAME).read_text(encoding="utf-8")
-            )
-        except (OSError, json.JSONDecodeError):
-            return {}
-        counters: Dict[str, Dict[str, int]] = {}
-        for key, value in sorted(totals.items()):
-            kind, _, event = str(key).partition(".")
-            if not event:
-                continue
-            try:
-                counters.setdefault(kind, {})[event] = int(value)
-            except (TypeError, ValueError):
-                continue
-        return counters
 
     # ------------------------------------------------------------------
     def scan(self, kind: Optional[str] = None) -> List[CacheEntry]:
@@ -498,6 +420,4 @@ class ArtifactCache:
                 self._count(entry.kind, "evict")
             evicted.append(entry)
             remaining -= entry.size_bytes
-        if not dry_run and evicted:
-            self.flush_counters()
         return evicted

@@ -493,14 +493,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="task processes per job (default: CPUs // job-workers)",
     )
     serve.add_argument(
-        "--cache-max-bytes", type=parse_size, default=None, metavar="SIZE",
-        help="gc the artifact cache to this size between jobs (suffixes K/M/G/T)",
-    )
-    serve.add_argument(
-        "--cache-max-age", type=parse_age, default=None, metavar="AGE",
-        help="evict artifacts unused longer than this between jobs (30m/12h/7d)",
-    )
-    serve.add_argument(
         "--tokens-file", type=Path, default=None,
         help="enable bearer-token auth from this JSON tokens file "
         '({"tokens": {"<secret>": {"name": ..., '
@@ -963,8 +955,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     cache = ArtifactCache(cache_dir)
     if args.cache_command == "stats":
         stats = cache.kind_stats()
-        counters = cache.persistent_counters()
-        if not stats and not counters:
+        if not stats:
             print(f"cache at {cache.root} is empty")
             return 0
         now = time.time()
@@ -982,19 +973,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
                 f"{_format_size(bucket['bytes']):>10s}  "
                 f"last used {idle_s / 3600:.1f}h ago"
             )
-        if counters:
-            print("lifetime counters:")
-            for kind in sorted(counters):
-                events = counters[kind]
-                hits = int(events.get("hit", 0))
-                misses = int(events.get("miss", 0))
-                lookups = hits + misses
-                rate = f"{hits / lookups:.1%}" if lookups else "n/a"
-                print(
-                    f"  {kind:10s} {hits} hit(s), {misses} miss(es) "
-                    f"({rate} hit rate), {int(events.get('write', 0))} write(s), "
-                    f"{int(events.get('evict', 0))} eviction(s)"
-                )
         return 0
     # gc
     if args.max_bytes is None and args.max_age is None:
@@ -1139,8 +1117,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         task_workers=args.task_workers,
         cache_dir=args.cache_dir,
         use_cache=not args.no_cache,
-        cache_max_bytes=args.cache_max_bytes,
-        cache_max_age_s=args.cache_max_age,
         tokens_file=args.tokens_file,
         fleet=args.fleet,
         lease_ttl_s=args.lease_ttl,

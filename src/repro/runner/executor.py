@@ -49,15 +49,11 @@ from ..obs import (
     tag_context,
     write_sidecar,
 )
-from .cache import (
-    ArtifactCache,
-    CacheStats,
-    cache_budget_from_env,
-    default_cache_dir,
-)
+from .cache import ArtifactCache, cache_budget_from_env, default_cache_dir
 from .campaign import BASELINE_ATTACKS, AttackTask
 
 __all__ = [
+    "CacheStats",
     "TaskResult",
     "campaign_cache_stats",
     "execute_task",
@@ -169,31 +165,22 @@ def _resolve_baseline(name: str) -> Callable:
 @contextmanager
 def _task_telemetry(
     task: AttackTask,
-    cache: ArtifactCache,
     queue_wait_s: float,
     submitted_at: Optional[float],
     obs_dir: Optional[str],
 ) -> Iterator[None]:
     """Scope one task's telemetry and ship its delta on exit.
 
-    With ``REPRO_OBS`` off this only flushes the cache's persistent
-    hit/miss counters (those are always on — ``repro cache stats`` must
-    work without telemetry).  With it on, the task runs under a fresh
-    scoped registry + tracer tagged with its ids; on exit the delta is
-    written to a sidecar (pool workers and driver-side campaign tasks —
-    the campaign merges it into the rollup) or, when no ``obs_dir`` was
-    provided (direct :func:`execute_task` calls), merged into the caller's
-    ambient registry/tracer.  Best-effort throughout: telemetry failures
-    must never turn a healthy task into a failed one.
+    With ``REPRO_OBS`` off this does nothing.  With it on, the task runs
+    under a fresh scoped registry + tracer tagged with its ids; on exit the
+    delta is written to a sidecar (pool workers and driver-side campaign
+    tasks — the campaign merges it into the rollup) or, when no ``obs_dir``
+    was provided (direct :func:`execute_task` calls), merged into the
+    caller's ambient registry/tracer.  Best-effort throughout: telemetry
+    failures must never turn a healthy task into a failed one.
     """
     if not obs_enabled():
-        try:
-            yield
-        finally:
-            try:
-                cache.flush_counters()
-            except Exception:  # noqa: BLE001 - telemetry is best-effort
-                pass
+        yield
         return
     registry = MetricsRegistry()
     tracer = Tracer()
@@ -209,10 +196,6 @@ def _task_telemetry(
                     )
                 yield
     finally:
-        try:
-            cache.flush_counters()
-        except Exception:  # noqa: BLE001 - telemetry is best-effort
-            pass
         try:
             snapshot = registry.snapshot()
             events = tracer.drain()
@@ -258,7 +241,7 @@ def execute_task(
     if cache is None:
         cache = ArtifactCache(cache_dir)
     events: Dict[str, str] = {}
-    with _task_telemetry(task, cache, queue_wait_s, submitted_at, obs_dir):
+    with _task_telemetry(task, queue_wait_s, submitted_at, obs_dir):
         try:
             instances = _load_or_generate_dataset(task, cache, events)
             if task.attack == "gnnunlock":
@@ -402,14 +385,28 @@ def _run_baseline(task: AttackTask, instances: list) -> Dict[str, object]:
 
 
 # ----------------------------------------------------------------------
+@dataclass
+class CacheStats:
+    """Cache hits and misses of a campaign, in total and per artifact kind."""
+
+    hits: int = 0
+    misses: int = 0
+    per_kind: Dict[str, Dict[str, int]] = field(default_factory=dict)
+
+    def count(self, kind: str, event: str) -> None:
+        setattr(self, event, getattr(self, event) + 1)
+        bucket = self.per_kind.setdefault(kind, {"hits": 0, "misses": 0})
+        bucket[event] += 1
+
+
 def campaign_cache_stats(results: Sequence) -> CacheStats:
     """Aggregate per-task cache events into one :class:`CacheStats`.
 
-    Workers count hits/misses in their own processes, so the per-handle
-    counters never reach the campaign driver; the structured
-    ``TaskResult.cache_events`` do.  Accepts :class:`TaskResult` objects or
-    stored record dicts (their ``"cache"`` field).  Skipped (resumed) tasks
-    contribute nothing — no artifact was touched on their behalf.
+    Tasks run in worker processes, so the campaign learns what the cache
+    did from each ``TaskResult.cache_events``.  Accepts :class:`TaskResult`
+    objects or stored record dicts (their ``"cache"`` field).  Skipped
+    (resumed) tasks contribute nothing — no artifact was touched on their
+    behalf.
     """
     stats = CacheStats()
     for result in results:

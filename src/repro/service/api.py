@@ -19,7 +19,7 @@ Endpoints (JSON unless noted)::
 
 Warehouse endpoints (cross-campaign queries over every job's records;
 finished job stores are ingested automatically and any not-yet-ingested
-tail is picked up lazily on query)::
+tail is picked up lazily on query; compaction runs only on request)::
 
     GET    /v1/warehouse/query       ?scheme=&attack=&suite=&status=&target=
                                      &since=&limit=  filtered records; add
@@ -63,6 +63,8 @@ file, every ``/v1`` request needs ``Authorization: Bearer <token>``;
 The server is a ``ThreadingHTTPServer`` so status polls and long-poll
 streams are served while jobs run; campaign execution itself happens on the
 :class:`~repro.service.worker.JobWorker` threads, never on request threads.
+The artifact cache is bounded by each job's ``run_campaign`` under
+``REPRO_CACHE_MAX_BYTES`` / ``REPRO_CACHE_MAX_AGE``.
 Fleet mode keeps that one job path and changes only the task backend: the
 :class:`~repro.fleet.FleetCoordinator` turns each task ``run_campaign``
 submits into a lease that drainers claim through ``/v1/tasks``.
@@ -85,7 +87,6 @@ from ..runner.cache import ArtifactCache, default_cache_dir, parse_size
 from ..runner.campaign import CampaignSpec
 from ..runner.store import ResultStore, render_report
 from ..warehouse import (
-    CompactionThread,
     Warehouse,
     aggregate_stream,
     build_filter,
@@ -815,6 +816,10 @@ class _ServiceHandler(BaseHTTPRequestHandler):
 class _ServiceServer(ThreadingHTTPServer):
     daemon_threads = True
     allow_reuse_address = True
+    #: Listen backlog.  The stdlib default of 5 drops the SYNs of a larger
+    #: burst of simultaneous connects, and each dropped client waits a full
+    #: TCP retransmit (~1 s) before its request is even accepted.
+    request_queue_size = 64
 
     def __init__(self, address, handler, service: "CampaignService"):
         super().__init__(address, handler)
@@ -847,15 +852,11 @@ class CampaignService:
         task_workers: Optional[int] = None,
         cache_dir: Optional[os.PathLike] = None,
         use_cache: bool = True,
-        cache_max_bytes: Optional[int] = None,
-        cache_max_age_s: Optional[float] = None,
         tokens_file: Optional[os.PathLike] = None,
         stream_max_wait_s: float = STREAM_MAX_WAIT_S,
         fleet: bool = False,
         lease_ttl_s: float = 30.0,
         warehouse_dir: Optional[os.PathLike] = None,
-        warehouse_compact_interval_s: float = 60.0,
-        warehouse_compact_min_superseded: int = 512,
         echo: Optional[Callable[[str], None]] = None,
     ):
         self.echo = echo if echo is not None else (lambda message: None)
@@ -884,11 +885,6 @@ class CampaignService:
             else self.queue.state_dir / "warehouse"
         )
         self._warehouse_ingest_lock = threading.Lock()
-        self._compactor = CompactionThread(
-            self.warehouse,
-            interval_s=warehouse_compact_interval_s,
-            min_superseded=warehouse_compact_min_superseded,
-        )
         resolved_cache_dir = cache_dir if cache_dir is not None else default_cache_dir()
         #: Backing store of the /v1/artifacts object-store endpoints.
         self.artifact_cache = ArtifactCache(
@@ -916,8 +912,6 @@ class CampaignService:
             task_workers=task_workers,
             cache_dir=resolved_cache_dir,
             use_cache=use_cache,
-            cache_max_bytes=cache_max_bytes,
-            cache_max_age_s=cache_max_age_s,
             echo=self.echo,
             metrics=self.metrics,
             on_job_finished=self._ingest_finished_job,
@@ -1019,7 +1013,6 @@ class CampaignService:
         if self.fleet is not None:
             self.fleet.start()
         self.worker.start()
-        self._compactor.start()
         self._httpd = _ServiceServer(
             (self.host, self._requested_port), _ServiceHandler, self
         )
@@ -1051,7 +1044,6 @@ class CampaignService:
         if self._http_thread is not None:
             self._http_thread.join(timeout)
             self._http_thread = None
-        self._compactor.stop()
         if self.fleet is not None:
             # First: with the API down no drainer can complete a task, so
             # the fleet hands its live jobs back for recovery.

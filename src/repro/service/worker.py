@@ -16,10 +16,9 @@ its live jobs with :class:`JobInterrupted`; the slot hands its job back
 unfinished (still ``running``, so the next start recovers and resumes it)
 and exits, since nothing can complete a fleet task once the API is down.
 
-Between jobs the worker garbage-collects the artifact cache under the
-service's ``cache_max_bytes`` / ``cache_max_age_s`` budget (on top of the
-``REPRO_CACHE_MAX_BYTES`` env budget that ``run_campaign`` already honours),
-so a long-lived service never grows its cache without bound.
+The artifact cache stays bounded the way every campaign's does:
+``run_campaign`` garbage-collects it after each job when
+``REPRO_CACHE_MAX_BYTES`` / ``REPRO_CACHE_MAX_AGE`` are set.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from concurrent.futures import Executor
 from typing import Callable, List, Optional
 
 from ..obs import MetricsRegistry, emit, emit_span, tag_context
-from ..runner.cache import ArtifactCache, default_cache_dir
+from ..runner.cache import default_cache_dir
 from ..runner.executor import run_campaign
 from ..runner.store import ResultStore
 from .jobs import Job, JobQueue
@@ -58,8 +57,6 @@ class JobWorker:
         task_workers: Optional[int] = None,
         cache_dir: Optional[os.PathLike] = None,
         use_cache: bool = True,
-        cache_max_bytes: Optional[int] = None,
-        cache_max_age_s: Optional[float] = None,
         echo: Optional[Callable[[str], None]] = None,
         metrics: Optional[MetricsRegistry] = None,
         on_job_finished: Optional[Callable[[Job], None]] = None,
@@ -83,8 +80,6 @@ class JobWorker:
             self.task_workers = max(1, cpus // self.job_slots)
         self.cache_dir = cache_dir if cache_dir is not None else default_cache_dir()
         self.use_cache = use_cache
-        self.cache_max_bytes = cache_max_bytes
-        self.cache_max_age_s = cache_max_age_s
         self.echo = echo if echo is not None else (lambda message: None)
         self._stop = threading.Event()
         self._threads: List[threading.Thread] = []
@@ -134,9 +129,8 @@ class JobWorker:
                 finally:
                     self.metrics.add_gauge("repro_service_workers_busy", -1.0)
                 # After the busy window: the job already has its terminal
-                # status, so ingest/GC latency never shows up as a busy slot.
+                # status, so ingest latency never shows up as a busy slot.
                 self._notify_finished(job)
-                self._gc_between_jobs()
 
     def _log(self, message: str, *, job: Optional[Job] = None, **fields) -> None:
         emit(
@@ -239,22 +233,4 @@ class JobWorker:
                 f"job {job.job_id}: post-finish hook failed: {exc}",
                 job=job,
                 error=str(exc),
-            )
-
-    def _gc_between_jobs(self) -> None:
-        """Bound the artifact cache while the service idles between jobs."""
-        if self.cache_max_bytes is None and self.cache_max_age_s is None:
-            return
-        if not self.use_cache:
-            return
-        cache = ArtifactCache(self.cache_dir)
-        evicted = cache.gc(
-            max_bytes=self.cache_max_bytes, max_age_s=self.cache_max_age_s
-        )
-        if evicted:
-            freed = sum(entry.size_bytes for entry in evicted)
-            self._log(
-                f"cache gc: evicted {len(evicted)} artifact(s), {freed} bytes",
-                evicted=len(evicted),
-                freed_bytes=freed,
             )

@@ -473,14 +473,10 @@ class Warehouse:
     # ------------------------------------------------------------------
     # Compaction
     # ------------------------------------------------------------------
-    def superseded(self) -> int:
-        """Garbage lines a compaction would fold (duplicates + corrupt)."""
-        with self._mutex:
-            self._refresh()
-            return self._total_lines - len(self._entries) + self._corrupt_lines
-
-    def compact(self, *, min_superseded: int = 1) -> Dict[str, object]:
+    def compact(self) -> Dict[str, object]:
         """Rewrite shards keeping only the latest envelope per key.
+
+        A no-op (``compacted: False``) when there is nothing to fold.
 
         Envelope lines are byte-copied (sequence numbers and first-seen
         ordering included), so every read observable — ``latest()`` order,
@@ -492,7 +488,7 @@ class Warehouse:
         with self._mutex, self._flock():
             self._refresh()
             folded = self._total_lines - len(self._entries) + self._corrupt_lines
-            if folded < min_superseded:
+            if folded == 0:
                 return {
                     "compacted": False,
                     "folded": 0,

@@ -1,14 +1,18 @@
 """Artifact-cache behaviour: hits, misses, atomicity, corruption handling,
-version stamping and LRU garbage collection."""
+version stamping, LRU garbage collection and the cache-event series."""
 
 import os
 import pickle
 import time
 
 
+from repro.obs import scoped_registry
 from repro.runner import ArtifactCache, fingerprint
 from repro.runner import cache as cache_module
 from repro.runner.cache import canonical_json
+
+#: Every hit, miss, write and eviction lands in this registry series.
+EVENTS = "repro_cache_events_total"
 
 
 class TestFingerprint:
@@ -28,20 +32,22 @@ class TestFingerprint:
 class TestArtifactCache:
     def test_miss_then_hit(self, tmp_path):
         cache = ArtifactCache(tmp_path)
-        assert cache.get("dataset", "ab" * 32) is None
-        cache.put("dataset", "ab" * 32, {"payload": [1, 2, 3]})
-        assert cache.get("dataset", "ab" * 32) == {"payload": [1, 2, 3]}
-        assert cache.stats.hits == 1
-        assert cache.stats.misses == 1
-        assert cache.stats.writes == 1
-        assert cache.stats.per_kind["dataset"]["hits"] == 1
+        with scoped_registry() as registry:
+            assert cache.get("dataset", "ab" * 32) is None
+            cache.put("dataset", "ab" * 32, {"payload": [1, 2, 3]})
+            assert cache.get("dataset", "ab" * 32) == {"payload": [1, 2, 3]}
+        assert registry.value(EVENTS, kind="dataset", event="hit") == 1
+        assert registry.value(EVENTS, kind="dataset", event="miss") == 1
+        assert registry.value(EVENTS, kind="dataset", event="write") == 1
+        assert registry.value(EVENTS, kind="model", event="hit") == 0
 
-    def test_has_does_not_touch_stats(self, tmp_path):
+    def test_has_counts_nothing(self, tmp_path):
         cache = ArtifactCache(tmp_path)
-        assert not cache.has("model", "cd" * 32)
         cache.put("model", "cd" * 32, 7)
-        assert cache.has("model", "cd" * 32)
-        assert cache.stats.hits == 0 and cache.stats.misses == 0
+        with scoped_registry() as registry:
+            assert not cache.has("model", "ef" * 32)
+            assert cache.has("model", "cd" * 32)
+        assert registry.snapshot()["counters"] == {}
 
     def test_disabled_cache_is_inert(self):
         cache = ArtifactCache(None)
@@ -143,9 +149,19 @@ class TestCacheGc:
 
     def test_dry_run_deletes_nothing(self, tmp_path):
         cache, paths = self._filled(tmp_path)
-        evicted = cache.gc(max_bytes=0, dry_run=True)
+        with scoped_registry() as registry:
+            evicted = cache.gc(max_bytes=0, dry_run=True)
         assert len(evicted) == len(paths)
         assert all(path.exists() for path in paths)
+        assert registry.value(EVENTS, kind="dataset", event="evict") == 0
+
+    def test_gc_counts_each_eviction(self, tmp_path):
+        cache, paths = self._filled(tmp_path)
+        cache.put("model", "mm" * 32, b"w")
+        with scoped_registry() as registry:
+            cache.gc(max_bytes=0)
+        assert registry.value(EVENTS, kind="dataset", event="evict") == len(paths)
+        assert registry.value(EVENTS, kind="model", event="evict") == 1
 
     def test_empty_shard_dirs_are_pruned(self, tmp_path):
         cache, paths = self._filled(tmp_path)

@@ -559,7 +559,7 @@ class TestAutomaticCacheBudget:
         )
         assert not any("cache gc" in line for line in lines)
 
-    @pytest.mark.parametrize("bogus", ["lots", "inf", "1e400"])
+    @pytest.mark.parametrize("bogus", ["lots", "inf", "1e400", "-1"])
     def test_malformed_budget_is_ignored(
         self, tiny_campaign, tmp_path, monkeypatch, bogus
     ):

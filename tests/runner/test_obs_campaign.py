@@ -1,5 +1,5 @@
 """Campaign-level observability: rollups, traces, queue-wait timing, the
-telemetry CLI verbs, lifetime cache counters — and the determinism guard
+telemetry CLI verbs, cache-event counting — and the determinism guard
 (telemetry on vs off never changes records or reports)."""
 
 import json
@@ -15,10 +15,10 @@ from repro.obs import (
     load_rollup,
     obs_dir_for_store,
     read_events_jsonl,
+    scoped_registry,
     trace_path,
 )
 from repro.runner import CampaignSpec, ResultStore, execute_task, run_campaign
-from repro.runner.cache import ArtifactCache
 from repro.runner.cli import main
 from repro.runner.store import render_report
 
@@ -231,64 +231,23 @@ class TestTelemetryCli:
         assert "REPRO_OBS=1" in capsys.readouterr().err
 
 
-class TestLifetimeCacheCounters:
-    def test_counters_survive_across_handles(self, tmp_path):
-        root = tmp_path / "cache"
-        cache = ArtifactCache(root)
-        cache.put("dataset", "a" * 64, {"x": 1})
-        cache.get("dataset", "a" * 64)
-        cache.get("dataset", "b" * 64)
-        cache.flush_counters()
-        fresh = ArtifactCache(root)
-        counters = fresh.persistent_counters()
-        assert counters["dataset"]["write"] == 1
-        assert counters["dataset"]["hit"] == 1
-        assert counters["dataset"]["miss"] == 1
-
-    def test_gc_counts_evictions_and_flushes(self, tmp_path):
-        root = tmp_path / "cache"
-        cache = ArtifactCache(root)
-        cache.put("model", "a" * 64, {"x": 1})
-        evicted = cache.gc(max_bytes=0)
-        assert len(evicted) == 1
-        assert ArtifactCache(root).persistent_counters()["model"]["evict"] == 1
-
-    def test_dry_run_gc_counts_nothing(self, tmp_path):
-        root = tmp_path / "cache"
-        cache = ArtifactCache(root)
-        cache.put("model", "a" * 64, {"x": 1})
-        cache.gc(max_bytes=0, dry_run=True)
-        cache.flush_counters()
-        assert "evict" not in ArtifactCache(root).persistent_counters().get(
-            "model", {}
-        )
-
-    def test_disabled_cache_persists_nothing(self, tmp_path):
-        cache = ArtifactCache(None)
-        cache.get("dataset", "a" * 64)
-        cache.flush_counters()
-        assert cache.persistent_counters() == {}
-
-    def test_cli_stats_shows_lifetime_counters(self, tmp_path, capsys):
-        root = tmp_path / "cache"
-        cache = ArtifactCache(root)
-        cache.put("dataset", "a" * 64, {"x": 1})
-        cache.get("dataset", "a" * 64)
-        cache.flush_counters()
-        assert main(["cache", "stats", "--cache-dir", str(root)]) == 0
-        out = capsys.readouterr().out
-        assert "lifetime counters:" in out
-        assert "1 hit(s), 0 miss(es)" in out
-        assert "100.0% hit rate" in out
-
-    def test_campaign_flushes_counters_automatically(self, tmp_path):
-        store = ResultStore(tmp_path / "flush.jsonl")
-        run_campaign(
-            _spec("obs-flush", targets=("c2670",)).expand(),
-            serial=True,
-            store=store,
-            cache_dir=tmp_path / "cache",
-        )
-        counters = ArtifactCache(tmp_path / "cache").persistent_counters()
-        assert counters["dataset"]["miss"] == 1
-        assert counters["model"]["write"] == 1
+class TestCacheEventSeries:
+    def test_campaign_counts_cache_events(self, tmp_path, monkeypatch):
+        """An in-process campaign's cache events land in the registry series
+        (telemetry off), matching the records' ``cache`` field."""
+        monkeypatch.delenv(OBS_ENV, raising=False)
+        store = ResultStore(tmp_path / "events.jsonl")
+        with scoped_registry() as registry:
+            run_campaign(
+                _spec("obs-events", targets=("c2670",)).expand(),
+                serial=True,
+                store=store,
+                cache_dir=tmp_path / "cache",
+            )
+        events = "repro_cache_events_total"
+        assert registry.value(events, kind="dataset", event="miss") == 1
+        assert registry.value(events, kind="dataset", event="write") == 1
+        assert registry.value(events, kind="model", event="miss") == 1
+        assert registry.value(events, kind="model", event="write") == 1
+        [record] = store.latest().values()
+        assert record["cache"] == {"dataset": "miss", "model": "miss"}

@@ -491,6 +491,24 @@ class TestCacheCli:
         assert code == 0
         assert "is empty" in capsys.readouterr().out
 
+    def test_root_with_old_counter_files_works(self, tmp_path, capsys):
+        """Older versions kept lifetime counters at the cache root; they are
+        left alone and no longer read."""
+        cache_dir = tmp_path / "cache"
+        cache = self._fill(cache_dir)
+        (cache_dir / "counters.json").write_text('{"dataset.hit": 7}')
+        (cache_dir / "counters.lock").write_text("")
+        assert main(["cache", "stats", "--cache-dir", str(cache_dir)]) == 0
+        out = capsys.readouterr().out
+        assert "2 artifact(s)" in out and "dataset" in out and "model" in out
+        assert "hit" not in out
+        code = main(["cache", "gc", "--cache-dir", str(cache_dir), "--max-bytes", "0"])
+        assert code == 0
+        assert "evicted 2 artifact(s)" in capsys.readouterr().out
+        assert cache.entries() == []
+        assert main(["cache", "stats", "--cache-dir", str(cache_dir)]) == 0
+        assert "is empty" in capsys.readouterr().out
+
     def test_gc_requires_a_criterion(self, tmp_path, capsys):
         code = main(["cache", "gc", "--cache-dir", str(tmp_path / "cache")])
         assert code == 2
@@ -527,3 +545,25 @@ class TestCacheCli:
         assert parse_age("2h") == 7200
         assert parse_age("7d") == 7 * 86400
         assert parse_age("90") == 90.0
+        assert parse_size("0") == 0 and parse_age("0s") == 0.0
+        # Negative or non-finite amounts are errors, never "evict all" or
+        # an OverflowError.
+        for bad in ("-1", "-2K", "inf", "-inf", "1e400", "nan"):
+            with pytest.raises(ValueError):
+                parse_size(bad)
+        for bad in ("-3d", "-1", "inf", "1e400d", "nan"):
+            with pytest.raises(ValueError):
+                parse_age(bad)
+
+    @pytest.mark.parametrize(
+        "flag", ["--max-age=-3d", "--max-bytes=-1", "--max-bytes=inf",
+                 "--max-bytes=1e400"],
+    )
+    def test_gc_rejects_bad_budget_cleanly(self, tmp_path, capsys, flag):
+        cache = self._fill(tmp_path / "cache")
+        with pytest.raises(SystemExit) as exc:
+            main(["cache", "gc", "--cache-dir", str(tmp_path / "cache"), flag])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid" in err and "Traceback" not in err
+        assert len(cache.entries()) == 2

@@ -7,7 +7,7 @@ import pytest
 
 from service_helpers import gnn_spec, summary_spec
 
-from repro.runner import ResultStore, render_report, run_campaign
+from repro.runner import ArtifactCache, ResultStore, render_report, run_campaign
 from repro.runner.cli import main
 from repro.service import ServiceClient, ServiceError
 
@@ -210,6 +210,22 @@ class TestEndToEnd:
         assert final["status"] == "failed"
         assert final["error"]
 
+    def test_job_garbage_collects_under_env_budget(
+        self, service_factory, tmp_path, monkeypatch
+    ):
+        """The service bounds the cache through each job's run_campaign."""
+        monkeypatch.setenv("REPRO_CACHE_MAX_BYTES", "0")
+        client = ServiceClient(service_factory().url)
+        job = client.submit(summary_spec("gc-budget"))["job"]
+        assert client.wait(job["job_id"], timeout=120)["status"] == "done"
+        # The job built and cached the tasks' shared dataset; the gc after
+        # the campaign evicted it.
+        records = client.records(job["job_id"])
+        assert [r["cache"] for r in records] == [
+            {"dataset": "miss"}, {"dataset": "hit"}
+        ]
+        assert ArtifactCache(tmp_path / "cache").entries() == []
+
     def test_cancel_running_job(self, service_factory):
         client = ServiceClient(service_factory().url)
         job = client.submit(gnn_spec("cancel-me", epochs=80))["job"]
@@ -339,6 +355,13 @@ class TestCliVerbs:
         assert main(["cancel", job_id, "--url", service.url]) == 0
         client.wait(job_id, timeout=120)
         assert client.status(job_id)["status"] == "cancelled"
+
+    @pytest.mark.parametrize("flag", ["--cache-max-bytes", "--cache-max-age"])
+    def test_serve_has_no_cache_budget_flags(self, flag, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", flag, "1"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_invalid_submit_spec_fails_client_side(self, capsys):
         # Validation runs before any network traffic: no service needed.
