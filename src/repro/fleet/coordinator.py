@@ -291,16 +291,6 @@ class FleetCoordinator:
             "lease": lease.to_json_dict(),
         }
 
-    def job_tasks_payload(self, job_id: str) -> Optional[Dict[str, object]]:
-        """The spec payload drainers expand to recover task objects."""
-        job = self.queue.get(job_id)
-        if job is None:
-            return None
-        return {
-            "job_id": job.job_id,
-            "spec": job.spec.to_json_dict(),
-        }
-
     # ------------------------------------------------------------------
     # Observability
     def fleet_gauges(self) -> Dict[str, object]:

@@ -1,7 +1,9 @@
 """Content-addressed on-disk artifact cache.
 
-Campaigns repeatedly need two expensive artifact kinds: generated locked
-datasets and trained GNN models.  Both are fully determined by a canonical
+Campaigns repeatedly need two expensive artifact kinds: built locked
+datasets (a :class:`~repro.core.dataset.NodeDataset`, which carries its
+generated instances; an older artifact may hold the bare instance list) and
+trained GNN models.  Both are fully determined by a canonical
 spec (the :meth:`~repro.runner.campaign.DatasetSpec.canonical` /
 :meth:`~repro.runner.campaign.AttackTask.canonical` dictionaries), so the
 cache key is the SHA-256 of that spec's canonical JSON — re-running a

@@ -31,9 +31,10 @@ from concurrent.futures import (
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from importlib import import_module
-from typing import Callable, Dict, Iterator, List, Optional, Sequence
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Union
 
 from ..core.attack import AttackOutcome, attack_design, train_attack_model
+from ..core.dataset import LockedInstance, NodeDataset
 from ..obs import (
     MetricsRegistry,
     Tracer,
@@ -243,13 +244,13 @@ def execute_task(
     events: Dict[str, str] = {}
     with _task_telemetry(task, queue_wait_s, submitted_at, obs_dir):
         try:
-            instances = _load_or_generate_dataset(task, cache, events)
+            dataset = _load_or_generate_dataset(task, cache, events)
             if task.attack == "gnnunlock":
-                record = _run_gnnunlock(task, instances, cache, events)
+                record = _run_gnnunlock(task, _built(task, dataset), cache, events)
             elif task.attack == "dataset-summary":
-                record = _run_dataset_summary(task, instances)
+                record = _run_dataset_summary(task, _built(task, dataset))
             elif task.attack in BASELINE_ATTACKS:
-                record = _run_baseline(task, instances)
+                record = _run_baseline(task, _instances(dataset))
                 events["model"] = "off"
             else:
                 raise ValueError(
@@ -284,30 +285,55 @@ def execute_task(
 
 def _load_or_generate_dataset(
     task: AttackTask, cache: ArtifactCache, events: Dict[str, str]
-) -> list:
+) -> Union[NodeDataset, List[LockedInstance]]:
+    """The task's dataset, from the ``dataset`` artifact when cached.
+
+    The artifact holds the built :class:`NodeDataset` (which carries its
+    ``instances``), so a hit skips the build.  On a miss the dataset is
+    generated, built and stored; with the cache off it is generated and
+    built.  An artifact written before the dataset was stored built holds
+    the bare instance list: it is returned as it is and the file is left
+    untouched.  :func:`_built` builds it for the tasks that read the graph;
+    baseline tasks read the instances alone, as they always did.
+    """
     if not cache.enabled:
         events["dataset"] = "off"
-        with span("dataset_generate", scheme=task.dataset.scheme):
-            return task.dataset.generate()
+        return task.dataset.build(_generate(task))
     key = task.dataset.fingerprint()
-    instances = cache.get("dataset", key)
-    if instances is not None:
+    cached = cache.get("dataset", key)
+    if cached is not None:
         events["dataset"] = "hit"
-        return instances
+        return cached
     events["dataset"] = "miss"
+    dataset = task.dataset.build(_generate(task))
+    cache.put("dataset", key, dataset)
+    return dataset
+
+
+def _generate(task: AttackTask) -> List[LockedInstance]:
     with span("dataset_generate", scheme=task.dataset.scheme):
-        instances = task.dataset.generate()
-    cache.put("dataset", key, instances)
-    return instances
+        return task.dataset.generate()
+
+
+def _built(task: AttackTask, dataset) -> NodeDataset:
+    """``dataset`` itself, or the build of a legacy artifact's instances."""
+    if isinstance(dataset, NodeDataset):
+        return dataset
+    return task.dataset.build(dataset)
+
+
+def _instances(dataset) -> List[LockedInstance]:
+    if isinstance(dataset, NodeDataset):
+        return dataset.instances
+    return dataset
 
 
 def _run_gnnunlock(
     task: AttackTask,
-    instances: list,
+    dataset: NodeDataset,
     cache: ArtifactCache,
     events: Dict[str, str],
 ) -> Dict[str, object]:
-    dataset = task.dataset.build(instances)
     model = history = None
     model_key = task.model_fingerprint()
     if cache.enabled:
@@ -341,13 +367,12 @@ def _run_gnnunlock(
     return outcome_record(outcome)
 
 
-def _run_dataset_summary(task: AttackTask, instances: list) -> Dict[str, object]:
-    """Table III-style row: build the dataset and record its shape only."""
-    dataset = task.dataset.build(instances)
+def _run_dataset_summary(task: AttackTask, dataset: NodeDataset) -> Dict[str, object]:
+    """Table III-style row: record the dataset's shape only."""
     summary = dataset.summary()
     return {
         "target": task.target_benchmark,
-        "n_instances": len(instances),
+        "n_instances": len(dataset.instances),
         "n_circuits": int(summary["#Circuits"]),
         "n_nodes": int(summary["#Nodes"]),
         "n_classes": int(summary["#Classes"]),

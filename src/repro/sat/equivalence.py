@@ -54,25 +54,6 @@ class EquivalenceResult:
         return self.equivalent
 
 
-def _common_interface(a: Circuit, b: Circuit) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
-    inputs_a = set(a.inputs) | set(a.key_inputs)
-    inputs_b = set(b.inputs) | set(b.key_inputs)
-    if inputs_a != inputs_b:
-        raise CircuitError(
-            "circuits have different input interfaces: "
-            f"only-in-A={sorted(inputs_a - inputs_b)[:5]}, "
-            f"only-in-B={sorted(inputs_b - inputs_a)[:5]}"
-        )
-    outputs_a, outputs_b = set(a.outputs), set(b.outputs)
-    if outputs_a != outputs_b:
-        raise CircuitError(
-            "circuits have different output interfaces: "
-            f"only-in-A={sorted(outputs_a - outputs_b)[:5]}, "
-            f"only-in-B={sorted(outputs_b - outputs_a)[:5]}"
-        )
-    return tuple(sorted(inputs_a)), tuple(sorted(outputs_a))
-
-
 def miter_cnf(
     a: Circuit,
     b: Circuit,

@@ -10,8 +10,12 @@ from __future__ import annotations
 import pickle
 from urllib.error import URLError
 
+import numpy as np
+
+from repro.core import AttackConfig, build_dataset
 from repro.fleet import FleetArtifactCache
 from repro.obs import scoped_registry
+from repro.runner import CampaignSpec
 from repro.service.client import ServiceError
 
 TRANSFERS = "repro_fleet_artifact_transfers_total"
@@ -129,3 +133,37 @@ class TestPush:
         with scoped_registry() as registry:
             assert other.get("dataset", KEY) == [7]
         assert _transfers(registry) == {"fetch_hit": 1}
+
+    def test_built_dataset_round_trips_to_another_host(self, tmp_path):
+        """The ``dataset`` artifact is a built NodeDataset; a second host
+        fetches it whole, and its write-through copy is the remote's bytes."""
+        spec = CampaignSpec(
+            name="fleet-dataset",
+            schemes=("antisat",),
+            benchmarks=("c2670",),
+            key_size_groups=((8,),),
+            attacks=("dataset-summary",),
+            config=AttackConfig(locks_per_setting=1, iscas_key_sizes=(8,), seed=5),
+        )
+        dataset = build_dataset(spec.expand()[0].dataset.generate())
+        remote = FakeRemote()
+        FleetArtifactCache(tmp_path / "a", remote=remote).put("dataset", KEY, dataset)
+        other = FleetArtifactCache(tmp_path / "b", remote=remote)
+        with scoped_registry() as registry:
+            fetched = other.get("dataset", KEY)
+        assert _transfers(registry) == {"fetch_hit": 1}
+        for name in ("features", "labels", "instance_index"):
+            np.testing.assert_array_equal(
+                getattr(fetched, name), getattr(dataset, name)
+            )
+        for part in ("data", "indices", "indptr"):
+            np.testing.assert_array_equal(
+                getattr(fetched.adjacency, part), getattr(dataset.adjacency, part)
+            )
+        assert fetched.node_names == dataset.node_names
+        assert fetched.class_map == dataset.class_map
+        assert [i.name for i in fetched.instances] == [
+            i.name for i in dataset.instances
+        ]
+        local = other.path_for("dataset", KEY).read_bytes()
+        assert local == remote.blobs[("dataset", KEY)]
