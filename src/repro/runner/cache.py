@@ -16,7 +16,12 @@ wins with identical bytes.
 
 Lifecycle: every fingerprint embeds :data:`CACHE_VERSION`, so bumping the
 version after an incompatible code change retires the whole cache cleanly
-(old entries simply stop being addressed).  Stale bytes are reclaimed by
+(old entries simply stop being addressed).  Storing the built dataset did
+not bump it, because this code still reads every artifact written before:
+bumping would have thrown away caches that stay valid.  The change is
+one-way, though: an older version that loads a built dataset where it
+expects an instance list fails the task, so older versions must not share
+a cache root or a fleet artifact store with this one.  Stale bytes are reclaimed by
 :meth:`ArtifactCache.gc`, which evicts least-recently-used entries first —
 a cache hit refreshes the artifact's mtime, so mtime order is use order.
 """

@@ -290,15 +290,16 @@ def _load_or_generate_dataset(
 
     The artifact holds the built :class:`NodeDataset` (which carries its
     ``instances``), so a hit skips the build.  On a miss the dataset is
-    generated, built and stored; with the cache off it is generated and
-    built.  An artifact written before the dataset was stored built holds
-    the bare instance list: it is returned as it is and the file is left
-    untouched.  :func:`_built` builds it for the tasks that read the graph;
-    baseline tasks read the instances alone, as they always did.
+    generated, built and stored, whichever task asked for it.  Two cases
+    return the bare instance list instead: an artifact written before the
+    dataset was stored built (returned as it is, the file left untouched),
+    and the generated instances when the cache is off.  :func:`_built`
+    builds them for the tasks that read the graph; baseline tasks read the
+    instances alone and build nothing.
     """
     if not cache.enabled:
         events["dataset"] = "off"
-        return task.dataset.build(_generate(task))
+        return _generate(task)
     key = task.dataset.fingerprint()
     cached = cache.get("dataset", key)
     if cached is not None:
@@ -316,7 +317,7 @@ def _generate(task: AttackTask) -> List[LockedInstance]:
 
 
 def _built(task: AttackTask, dataset) -> NodeDataset:
-    """``dataset`` itself, or the build of a legacy artifact's instances."""
+    """``dataset`` itself, or the build of a bare instance list."""
     if isinstance(dataset, NodeDataset):
         return dataset
     return task.dataset.build(dataset)

@@ -141,3 +141,16 @@ class TestLegacyArtifact:
         assert result.ok, result.error
         assert result.cache_events == {"dataset": "hit", "model": "off"}
         assert calls == []
+        uncached = execute_task(baseline, None)
+        assert uncached.ok, uncached.error
+        assert uncached.cache_events == {"dataset": "off", "model": "off"}
+        assert calls == []
+        assert _scrub(uncached.record) == _scrub(result.record)
+
+    def test_uncached_summary_builds_once(self, tiny_config, monkeypatch):
+        summary = _baseline_and_summary_tasks(tiny_config)[1]
+        calls = _count_builds(monkeypatch)
+        result = execute_task(summary, None)
+        assert result.ok, result.error
+        assert result.cache_events == {"dataset": "off"}
+        assert len(calls) == 1
