@@ -5,8 +5,10 @@ first tier and falls back to the coordinator's HTTP object store
 (``GET/PUT /v1/artifacts/<kind>/<key>``) on a local miss: fetched bytes
 are digest-verified, unpickled, and written through to the local tier so
 the next task on this host hits locally.  Freshly built artifacts are
-pushed back (best-effort) so other drainers — and the coordinator's own
-``JobWorker``, if any — skip the work entirely.
+pickled once and those bytes are both written locally and pushed back
+(best-effort) so other drainers — and the coordinator's own
+``JobWorker``, if any — skip the work entirely.  The local tier is the
+plain cache's, decoded-object memo included.
 
 Remote failures never fail a task: a fetch error is a miss (the artifact
 regenerates locally, determinism makes that safe) and a push error only
@@ -20,7 +22,7 @@ import pickle
 from typing import Optional
 from urllib.error import URLError
 
-from ..obs import get_registry
+from ..obs import get_registry, span
 from ..runner.cache import _MISSING, ArtifactCache, atomic_write
 from ..service.client import ServiceError
 
@@ -72,12 +74,15 @@ class FleetArtifactCache(ArtifactCache):
         return value
 
     def put(self, kind: str, key: str, value: object) -> Optional[object]:
-        path = super().put(kind, key, value)
-        if self.remote is not None:
-            try:
-                data = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-                self.remote.put_artifact(kind, key, data)
-                self._transfer("push", "ok")
-            except (ServiceError, URLError, OSError, pickle.PicklingError):
-                self._transfer("push", "error")
+        if self.remote is None:
+            return super().put(kind, key, value)
+        # Pickled once: the local file and the pushed body are these bytes.
+        with span("cache", op="put", kind=kind):
+            data = pickle.dumps(value, pickle.HIGHEST_PROTOCOL)
+            path = self._write(kind, key, data)
+        try:
+            self.remote.put_artifact(kind, key, data)
+            self._transfer("push", "ok")
+        except (ServiceError, URLError, OSError):
+            self._transfer("push", "error")
         return path

@@ -4,6 +4,11 @@ The paper's model (Table II) is a GraphSAGE network with mean aggregation and
 concatenation: an input dense layer lifting the raw features to the hidden
 width, two SAGE layers whose weight matrices are ``[2*hidden, hidden]``
 (concatenation of self and neighbour states), and a dense softmax classifier.
+
+A layer pickles its parameters only: the activations of the last forward
+pass and the last gradients are scratch state, dropped on pickling (a
+trained model's artifact would otherwise carry a full-graph forward).
+Pickles written with that state still load.
 """
 
 from __future__ import annotations
@@ -15,6 +20,23 @@ import scipy.sparse as sp
 
 __all__ = ["DenseLayer", "GraphSageLayer", "Dropout", "glorot"]
 
+#: Per-pass scratch attributes of the trainable layers, never pickled.
+_SCRATCH = ("_cache", "grad_weight", "grad_bias")
+
+
+class _ParametricLayer:
+    """Pickling shared by the trainable layers: parameters, no scratch."""
+
+    def __getstate__(self) -> Dict[str, object]:
+        return {k: v for k, v in self.__dict__.items() if k not in _SCRATCH}
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        # An older pickle may still carry the scratch state: leave it behind.
+        self.__dict__.update(
+            (k, v) for k, v in state.items() if k not in _SCRATCH
+        )
+        self._cache = {}
+
 
 def glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     """Glorot/Xavier uniform initialisation."""
@@ -22,7 +44,7 @@ def glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
-class DenseLayer:
+class DenseLayer(_ParametricLayer):
     """Fully connected layer ``Y = act(X W + b)``."""
 
     def __init__(
@@ -62,7 +84,7 @@ class DenseLayer:
         return [self.grad_weight, self.grad_bias]
 
 
-class GraphSageLayer:
+class GraphSageLayer(_ParametricLayer):
     """GraphSAGE layer with mean aggregation and concatenation.
 
     ``h_i' = act( [ h_i || mean_{j in N(i)} h_j ] W + b )`` where the mean is
@@ -135,6 +157,9 @@ class Dropout:
         keep = 1.0 - self.rate
         self._mask = (self.rng.random(x.shape) < keep) / keep
         return x * self._mask
+
+    def __getstate__(self) -> Dict[str, object]:
+        return {**self.__dict__, "_mask": None}
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._mask is None:

@@ -142,8 +142,15 @@ class GraphSageClassifier:
         self.dropouts[0].backward(grad)
 
     def predict(self, features: np.ndarray, adj_norm: sp.csr_matrix) -> np.ndarray:
-        """Hard class predictions (no dropout)."""
-        return self.forward(features, adj_norm, training=False).argmax(axis=1)
+        """Hard class predictions (no dropout).
+
+        Keeps none of the forward's activations: a model loaded from the
+        artifact cache is shared by every later task in the process.
+        """
+        predictions = self.forward(features, adj_norm, training=False).argmax(axis=1)
+        for layer in self._layers:
+            layer._cache = {}
+        return predictions
 
     # ------------------------------------------------------------------
     @property

@@ -24,6 +24,19 @@ expects an instance list fails the task, so older versions must not share
 a cache root or a fleet artifact store with this one.  Stale bytes are reclaimed by
 :meth:`ArtifactCache.gc`, which evicts least-recently-used entries first —
 a cache hit refreshes the artifact's mtime, so mtime order is use order.
+
+Decoding: a process decodes each artifact file once.  :meth:`ArtifactCache.get`
+keeps the decoded object in a process-wide LRU bounded by
+:data:`MEMO_MAX_BYTES` of artifact *file* bytes (an artifact larger than the
+bound is never held) and hands the same object to every later hit on the
+same file.  An entry is valid while the file's ``(st_ino, st_size,
+st_mtime_ns)`` equals the identity this process recorded right after its
+own touch, so a deleted, replaced (a new inode from :func:`atomic_write`) or
+rewritten file is read from disk again; :meth:`ArtifactCache.gc` forgets
+each file it evicts.  ``put`` does not memoise, so a producing task never
+shares its live object.  The contract is that a loaded artifact is
+read-only: a caller that mutates what ``get`` returned corrupts every later
+hit in this process.
 """
 
 from __future__ import annotations
@@ -34,7 +47,9 @@ import math
 import os
 import pickle
 import tempfile
+import threading
 import time
+from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -139,6 +154,71 @@ CACHE_VERSION = 2
 
 _MISSING = object()
 
+#: Bound on the artifact file bytes whose decoded objects a process keeps
+#: (the quick Anti-SAT dataset is a 605 KB file, the full-profile ISCAS-85
+#: one 1.75 MB).
+MEMO_MAX_BYTES = 64 * 1024**2
+
+#: ``(st_ino, st_size, st_mtime_ns)`` of an artifact file.
+_Identity = Tuple[int, int, int]
+
+
+def _identity(stat: os.stat_result) -> _Identity:
+    return (stat.st_ino, stat.st_size, stat.st_mtime_ns)
+
+
+class _DecodedMemo:
+    """Process-wide LRU of decoded artifacts, keyed by file path.
+
+    Bounded by :data:`MEMO_MAX_BYTES` of file bytes; one lock guards the
+    dict, and callers decode outside it.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._entries: "OrderedDict[str, Tuple[_Identity, object]]" = OrderedDict()
+        self._bytes = 0
+
+    def get(self, path: str, identity: _Identity) -> object:
+        """The value held for ``path`` if its file still has ``identity``."""
+        with self._lock:
+            entry = self._entries.get(path)
+            if entry is None or entry[0] != identity:
+                return _MISSING
+            return entry[1]
+
+    def put(self, path: str, identity: _Identity, value: object) -> None:
+        """Hold ``value`` as the most recently used entry."""
+        with self._lock:
+            self._drop(path)
+            size = identity[1]
+            if size > MEMO_MAX_BYTES:
+                return
+            self._entries[path] = (identity, value)
+            self._bytes += size
+            while self._bytes > MEMO_MAX_BYTES:
+                _, (old, _) = self._entries.popitem(last=False)
+                self._bytes -= old[1]
+
+    def forget(self, path: str) -> None:
+        with self._lock:
+            self._drop(path)
+
+    def _drop(self, path: str) -> None:
+        entry = self._entries.pop(path, None)
+        if entry is not None:
+            self._bytes -= entry[0][1]
+
+    def _after_fork(self) -> None:
+        # A pool worker forked while another thread held the lock would
+        # otherwise wait on it forever; the entries stay valid.
+        self._lock = threading.Lock()
+
+
+_MEMO = _DecodedMemo()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_MEMO._after_fork)
+
 
 def canonical_json(payload: Mapping) -> str:
     """Deterministic JSON rendering used for cache keys.
@@ -241,6 +321,12 @@ class ArtifactCache:
 
         An unreadable entry (truncated write from a killed process, version
         skew) counts as a miss and is deleted so it regenerates cleanly.
+
+        The returned object is read-only: a later hit on the same unchanged
+        file in this process returns the very same object without decoding
+        it again (see the module docstring for the memo's bound and
+        identity rule).  Every hit still counts as a hit and refreshes the
+        file's mtime.
         """
         with span("cache", op="get", kind=kind) as handle:
             value = self._load(kind, key)
@@ -259,37 +345,57 @@ class ArtifactCache:
 
     def put(self, kind: str, key: str, value: object) -> Optional[Path]:
         """Atomically persist an artifact; returns its path (None if disabled)."""
-        path = self.path_for(kind, key)
-        if not self.enabled or path is None:
+        if not self.enabled:
             return None
         with span("cache", op="put", kind=kind):
-            atomic_write(
-                path,
-                lambda handle: pickle.dump(
-                    value, handle, protocol=pickle.HIGHEST_PROTOCOL
-                ),
-            )
+            return self._write(kind, key, pickle.dumps(value, pickle.HIGHEST_PROTOCOL))
+
+    def _write(self, kind: str, key: str, data: bytes) -> Optional[Path]:
+        """Atomically store an artifact's pickled bytes and count the write."""
+        path = self.path_for(kind, key)
+        if path is None:
+            return None
+        atomic_write(path, lambda handle: handle.write(data))
         self._count(kind, "write")
         return path
 
     def _load(self, kind: str, key: str) -> object:
         path = self.path_for(kind, key)
-        if not self.enabled or path is None or not path.is_file():
+        if not self.enabled or path is None:
             return _MISSING
+        name = str(path)
         try:
-            with path.open("rb") as handle:
-                value = pickle.load(handle)
-        except Exception:  # noqa: BLE001 - any unreadable entry is a miss
-            try:
-                path.unlink()
-            except OSError:
-                pass
+            seen = path.stat()
+        except OSError:  # deleted, or never written
+            _MEMO.forget(name)
             return _MISSING
+        value = _MEMO.get(name, _identity(seen))
+        if value is _MISSING:
+            try:
+                with path.open("rb") as handle:
+                    seen = os.fstat(handle.fileno())
+                    value = pickle.load(handle)
+            except Exception:  # noqa: BLE001 - any unreadable entry is a miss
+                _MEMO.forget(name)
+                try:
+                    path.unlink()
+                except OSError:
+                    pass
+                return _MISSING
         try:
             # A hit marks the artifact as recently used; gc() evicts by mtime.
             os.utime(path, None)
         except OSError:
             pass
+        try:
+            # The identity after our own touch, so coarse mtimes still match.
+            touched: Optional[_Identity] = _identity(path.stat())
+        except OSError:
+            touched = None
+        if touched is not None and touched[:2] == (seen.st_ino, seen.st_size):
+            _MEMO.put(name, touched, value)
+        else:  # gone or replaced meanwhile: read the disk next time
+            _MEMO.forget(name)
         return value
 
     # ------------------------------------------------------------------
@@ -420,6 +526,7 @@ class ArtifactCache:
                     entry.path.unlink()
                 except OSError:
                     continue  # still present: its bytes still count
+                _MEMO.forget(str(entry.path))
                 try:
                     entry.path.parent.rmdir()  # prune the shard dir if now empty
                 except OSError:

@@ -118,6 +118,21 @@ class TestPush:
         assert pickle.loads(remote.blobs[("model", KEY)]) == ("model", "history")
         assert _transfers(registry) == {"push_ok": 1}
 
+    def test_put_pickles_once_and_pushes_the_local_bytes(self, tmp_path, monkeypatch):
+        remote = FakeRemote()
+        cache = FleetArtifactCache(tmp_path, remote=remote)
+        serialised = []
+        dump, dumps = pickle.dump, pickle.dumps
+        monkeypatch.setattr(
+            pickle, "dump", lambda *a, **k: serialised.append("dump") or dump(*a, **k)
+        )
+        monkeypatch.setattr(
+            pickle, "dumps", lambda *a, **k: serialised.append("dumps") or dumps(*a, **k)
+        )
+        path = cache.put("model", KEY, {"weights": list(range(100))})
+        assert len(serialised) == 1
+        assert remote.blobs[("model", KEY)] == path.read_bytes()
+
     def test_push_error_keeps_the_local_copy(self, tmp_path):
         cache = FleetArtifactCache(tmp_path, remote=FakeRemote(fail=URLError("x")))
         with scoped_registry() as registry:

@@ -1,5 +1,7 @@
 """Unit tests for GNN layers, model, loss and optimiser (incl. gradient checks)."""
 
+import pickle
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -16,6 +18,7 @@ from repro.gnn import (
     normalize_adjacency,
     softmax,
 )
+from repro.gnn import layers as layers_module
 
 
 def _ring_adjacency(n):
@@ -206,8 +209,65 @@ class TestModel:
         with pytest.raises(ValueError):
             model.set_weights(weights[:-1])
 
+    def test_predict_keeps_no_activations(self):
+        model, x, adj = _stepped_model()
+        model.predict(x, adj)
+        assert all(layer._cache == {} for layer in model._layers)
+
     def test_seed_reproducibility(self):
         config = GnnConfig(n_features=5, n_classes=2, hidden_dim=8, seed=9)
         a = GraphSageClassifier(config)
         b = GraphSageClassifier(config)
         assert np.array_equal(a.input_layer.weight, b.input_layer.weight)
+
+
+def _stepped_model(n=2000):
+    """A model right after one full-graph training step: every layer holds
+    its activations and gradients, every dropout its mask."""
+    model = GraphSageClassifier(GnnConfig(n_features=5, n_classes=2, hidden_dim=8, seed=4))
+    rng = np.random.default_rng(4)
+    adj = normalize_adjacency(_ring_adjacency(n))
+    x = rng.normal(size=(n, 5))
+    probs = model.forward(x, adj, training=True)
+    _, grad = cross_entropy_loss(probs, rng.integers(0, 2, n))
+    model.backward(grad)
+    return model, x, adj
+
+
+def _parameter_bytes(model):
+    return sum(p.nbytes for p in model.parameters)
+
+
+class TestPickling:
+    def test_pickle_carries_no_scratch_state(self):
+        model, _, _ = _stepped_model()
+        # The scratch of this 2000-node step is about 1 MB.
+        assert len(pickle.dumps(model)) < _parameter_bytes(model) + 8192
+
+    def test_round_trip_predicts_identically(self):
+        model, x, adj = _stepped_model()
+        clone = pickle.loads(pickle.dumps(model))
+        for layer in clone._layers:
+            assert layer._cache == {} and not hasattr(layer, "grad_weight")
+        assert all(d._mask is None for d in clone.dropouts)
+        for a, b in zip(clone.get_weights(), model.get_weights()):
+            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(clone.forward(x, adj), model.forward(x, adj))
+        # The clone trains on: a step refills the scratch state.
+        probs = clone.forward(x, adj, training=True)
+        clone.backward(cross_entropy_loss(probs, np.zeros(len(x), dtype=int))[1])
+        assert clone.sage2.grad_weight.shape == clone.sage2.weight.shape
+
+    def test_pickle_with_scratch_state_still_loads(self, monkeypatch):
+        model, x, adj = _stepped_model()
+        # Pickle as before layers pickled their parameters only.
+        monkeypatch.delattr(layers_module._ParametricLayer, "__getstate__")
+        monkeypatch.delattr(Dropout, "__getstate__")
+        old = pickle.dumps(model)
+        monkeypatch.undo()
+        assert len(old) > 10 * _parameter_bytes(model)
+        clone = pickle.loads(old)
+        for layer in clone._layers:
+            assert layer._cache == {} and not hasattr(layer, "grad_weight")
+        np.testing.assert_array_equal(clone.predict(x, adj), model.predict(x, adj))
+        assert len(pickle.dumps(clone)) < _parameter_bytes(model) + 8192

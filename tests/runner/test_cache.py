@@ -1,15 +1,18 @@
 """Artifact-cache behaviour: hits, misses, atomicity, corruption handling,
-version stamping, LRU garbage collection and the cache-event series."""
+version stamping, LRU garbage collection, the cache-event series and the
+in-process memo of decoded artifacts."""
 
 import os
 import pickle
+import threading
 import time
 
+import pytest
 
 from repro.obs import scoped_registry
 from repro.runner import ArtifactCache, fingerprint
 from repro.runner import cache as cache_module
-from repro.runner.cache import canonical_json
+from repro.runner.cache import atomic_write, canonical_json
 
 #: Every hit, miss, write and eviction lands in this registry series.
 EVENTS = "repro_cache_events_total"
@@ -185,3 +188,182 @@ class TestCacheGc:
         assert set(stats) == {"dataset", "model"}
         assert stats["dataset"]["count"] == 2
         assert stats["dataset"]["bytes"] > stats["model"]["bytes"]
+
+
+# ----------------------------------------------------------------------
+KEY = "ab" * 32
+
+
+@pytest.fixture
+def memo(monkeypatch):
+    """A fresh process-wide memo, so each test sees only its own entries."""
+    fresh = cache_module._DecodedMemo()
+    monkeypatch.setattr(cache_module, "_MEMO", fresh)
+    return fresh
+
+
+@pytest.fixture
+def loads(monkeypatch):
+    """Every ``pickle.load`` the cache makes, by file name."""
+    calls = []
+    original = pickle.load
+
+    def counting(handle):
+        calls.append(os.path.basename(handle.name))
+        return original(handle)
+
+    monkeypatch.setattr(cache_module.pickle, "load", counting)
+    return calls
+
+
+def _held(memo, path):
+    return str(path) in memo._entries
+
+
+class TestDecodedMemo:
+    def test_second_get_returns_the_same_object_without_decoding(
+        self, tmp_path, memo, loads
+    ):
+        ArtifactCache(tmp_path).put("dataset", KEY, {"payload": [1, 2]})
+        first = ArtifactCache(tmp_path).get("dataset", KEY)
+        assert first == {"payload": [1, 2]}
+        # Any handle on the same root shares the process-wide memo.
+        assert ArtifactCache(tmp_path).get("dataset", KEY) is first
+        assert loads == [f"{KEY}.pkl"]
+
+    def test_put_does_not_memoise(self, tmp_path, memo, loads):
+        cache = ArtifactCache(tmp_path)
+        value = {"payload": [1, 2]}
+        path = cache.put("model", KEY, value)
+        assert not _held(memo, path)
+        loaded = cache.get("model", KEY)
+        assert loaded == value and loaded is not value
+        assert len(loads) == 1
+
+    def test_deleted_file_is_a_miss(self, tmp_path, memo):
+        cache = ArtifactCache(tmp_path)
+        path = cache.put("model", KEY, "weights")
+        assert cache.get("model", KEY) == "weights"
+        path.unlink()
+        with scoped_registry() as registry:
+            assert cache.get("model", KEY) is None
+        assert registry.value(EVENTS, kind="model", event="miss") == 1
+        assert not _held(memo, path)
+
+    def test_file_replaced_through_atomic_write_is_decoded_again(
+        self, tmp_path, memo, loads
+    ):
+        cache = ArtifactCache(tmp_path)
+        path = cache.put("model", KEY, "old")
+        assert cache.get("model", KEY) == "old"
+        # Same size, new inode: the identity check still sees the change.
+        atomic_write(path, lambda handle: pickle.dump("new", handle))
+        assert cache.get("model", KEY) == "new"
+        assert cache.get("model", KEY) == "new"
+        assert len(loads) == 2
+
+    def test_file_corrupted_in_place_is_a_miss_and_deleted(self, tmp_path, memo):
+        cache = ArtifactCache(tmp_path)
+        path = cache.put("dataset", KEY, list(range(100)))
+        assert cache.get("dataset", KEY) == list(range(100))
+        with path.open("r+b") as handle:  # a truncated rewrite, same inode
+            handle.truncate(10)
+        with scoped_registry() as registry:
+            assert cache.get("dataset", KEY) is None
+        assert registry.value(EVENTS, kind="dataset", event="miss") == 1
+        assert not path.exists()
+        assert not _held(memo, path)
+
+    def test_gc_eviction_forgets_the_entry(self, tmp_path, memo):
+        cache = ArtifactCache(tmp_path)
+        path = cache.put("dataset", KEY, [1, 2])
+        cache.get("dataset", KEY)
+        assert _held(memo, path)
+        assert cache.gc(max_bytes=0, dry_run=True)
+        assert _held(memo, path)
+        cache.gc(max_bytes=0)
+        assert not _held(memo, path)
+
+    def test_byte_bound_evicts_least_recently_used_first(
+        self, tmp_path, memo, loads, monkeypatch
+    ):
+        cache = ArtifactCache(tmp_path)
+        keys = [f"{index:02d}" * 32 for index in range(3)]
+        paths = [cache.put("dataset", key, b"x" * 1000) for key in keys]
+        size = paths[0].stat().st_size
+        monkeypatch.setattr(cache_module, "MEMO_MAX_BYTES", 2 * size)
+        cache.get("dataset", keys[0])
+        cache.get("dataset", keys[1])
+        cache.get("dataset", keys[0])  # keys[1] is now least recently used
+        cache.get("dataset", keys[2])
+        assert [_held(memo, p) for p in paths] == [True, False, True]
+        assert memo._bytes == 2 * size
+        loads.clear()
+        cache.get("dataset", keys[0])
+        cache.get("dataset", keys[1])
+        assert loads == [f"{keys[1]}.pkl"]
+
+    def test_artifact_over_the_bound_is_not_held(
+        self, tmp_path, memo, loads, monkeypatch
+    ):
+        cache = ArtifactCache(tmp_path)
+        small = cache.put("model", KEY, b"x")
+        path = cache.put("dataset", KEY, b"x" * 1000)
+        monkeypatch.setattr(cache_module, "MEMO_MAX_BYTES", path.stat().st_size - 1)
+        cache.get("model", KEY)
+        assert cache.get("dataset", KEY) == b"x" * 1000
+        assert cache.get("dataset", KEY) == b"x" * 1000
+        assert not _held(memo, path)
+        # Nor does it push out what is held.
+        assert _held(memo, small)
+        assert memo._bytes == small.stat().st_size
+        assert len(loads) == 3
+
+    def test_every_hit_still_counts_and_touches(
+        self, tmp_path, memo, loads, monkeypatch
+    ):
+        cache = ArtifactCache(tmp_path)
+        path = cache.put("model", KEY, "weights")
+        touched = []
+        original = os.utime
+
+        def counting_utime(target, *args, **kwargs):
+            touched.append(os.fspath(target))
+            return original(target, *args, **kwargs)
+
+        monkeypatch.setattr(cache_module.os, "utime", counting_utime)
+        with scoped_registry() as registry:
+            for _ in range(3):
+                assert cache.get("model", KEY) == "weights"
+        assert registry.value(EVENTS, kind="model", event="hit") == 3
+        assert registry.value(EVENTS, kind="model", event="miss") == 0
+        assert touched == [str(path)] * 3
+        assert len(loads) == 1
+
+    def test_an_aged_hit_is_still_refreshed(self, tmp_path, memo):
+        cache = ArtifactCache(tmp_path)
+        path = cache.put("model", KEY, "weights")
+        cache.get("model", KEY)
+        _age(path, 600)
+        cache.get("model", KEY)
+        assert time.time() - path.stat().st_mtime < 60
+
+    def test_concurrent_gets_return_equal_values(self, tmp_path, memo):
+        cache = ArtifactCache(tmp_path)
+        value = {"payload": list(range(1000))}
+        cache.put("dataset", KEY, value)
+        barrier = threading.Barrier(8)
+        results = []
+
+        def read():
+            barrier.wait()
+            results.append(cache.get("dataset", KEY))
+
+        with scoped_registry() as registry:
+            threads = [threading.Thread(target=read) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        assert len(results) == 8 and all(r == value for r in results)
+        assert registry.value(EVENTS, kind="dataset", event="hit") == 8
