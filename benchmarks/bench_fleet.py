@@ -2,7 +2,9 @@
 
 Starts a ``CampaignService(fleet=True)`` in-process, spawns real
 ``python -m repro work`` drainer subprocesses against it, and measures a
-dataset-summary campaign end to end:
+campaign of dataset-summary and GNNUnlock tasks end to end (every phase
+trains models and pushes them to the service, and a drainer that needs a
+model first tries to fetch it):
 
 * **scaling** — wall time and tasks/s at 1, 2 and 4 drainers (fresh state
   and cache per size, so no cross-run artifact reuse flatters the numbers);
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -43,7 +46,13 @@ SRC = ROOT / "src"
 sys.path.insert(0, str(SRC))
 
 from repro.core import AttackConfig  # noqa: E402
-from repro.runner import CampaignSpec, ResultStore, render_report, run_campaign  # noqa: E402
+from repro.runner import (  # noqa: E402
+    CampaignSpec,
+    ResultStore,
+    profile_config,
+    render_report,
+    run_campaign,
+)
 from repro.service import (  # noqa: E402
     TERMINAL_STATUSES,
     CampaignService,
@@ -57,15 +66,26 @@ WAIT_TIMEOUT_S = 600.0
 
 
 def fleet_spec() -> CampaignSpec:
-    """A dataset-summary campaign with enough tasks to share around."""
-    config = AttackConfig(locks_per_setting=1, iscas_key_sizes=(8,), seed=11)
+    """Dataset-summary and GNNUnlock tasks, enough to share around.
+
+    GNNUnlock runs with the quick profile's GNN and with and without
+    post-processing; both variants read one trained model, so a drainer
+    that did not train it can fetch it from the service.
+    """
+    config = AttackConfig(
+        locks_per_setting=1,
+        iscas_key_sizes=(8,),
+        seed=11,
+        gnn=profile_config("quick").gnn,
+    )
     return CampaignSpec(
         name="bench-fleet",
         schemes=("antisat",),
         benchmarks=("c2670", "c3540", "c5315"),
         targets=("c2670", "c3540", "c5315"),
         key_size_groups=((8,), (16,)),
-        attacks=("dataset-summary",),
+        attacks=("dataset-summary", "gnnunlock"),
+        postprocessing=(True, False),
         config=config,
     )
 
@@ -101,13 +121,18 @@ def stop_drainers(procs) -> None:
             proc.wait()
 
 
-def fleet_counters(client: ServiceClient) -> dict:
-    counts = {}
+def fleet_counters(client: ServiceClient) -> tuple:
+    """Lease events, and artifact transfers keyed ``direction:outcome``."""
+    leases, transfers = {}, {}
     for line in client.metrics().splitlines():
-        if line.startswith("repro_fleet_leases_total{"):
-            event = line.split('event="')[1].split('"')[0]
-            counts[event] = int(float(line.rsplit(" ", 1)[1]))
-    return counts
+        name, _, rest = line.partition("{")
+        labels = dict(re.findall(r'(\w+)="([^"]*)"', rest))
+        if name == "repro_fleet_leases_total":
+            leases[labels["event"]] = int(float(line.rsplit(" ", 1)[1]))
+        elif name == "repro_fleet_artifact_transfers_total":
+            key = f"{labels['direction']}:{labels['outcome']}"
+            transfers[key] = int(float(line.rsplit(" ", 1)[1]))
+    return leases, transfers
 
 
 def run_fleet_phase(
@@ -169,7 +194,8 @@ def run_fleet_phase(
             "tasks_total"
         ]
         report = client.report(job["job_id"])
-        counters = fleet_counters(client)
+        counters, transfers = fleet_counters(client)
+        service_models = len(list((workdir / "cache" / "model").glob("*/*.pkl")))
         n_tasks = final["progress"]["tasks_total"]
         return {
             "drainers": n_drainers,
@@ -179,6 +205,8 @@ def run_fleet_phase(
             "exactly_once": bool(exactly_once),
             "report_matches_reference": report == reference_report,
             "lease_counters": counters,
+            "artifact_transfers": transfers,
+            "service_models": service_models,
             **({"killed": victim_name} if kill_one else {}),
         }
     finally:

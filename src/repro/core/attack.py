@@ -5,7 +5,8 @@ Given a dataset of locked benchmarks, attacking one design means:
 1. build the leave-one-design-out split (the attacked design is only tested),
 2. train the GraphSAGE node classifier on the training graphs with GraphSAINT
    random-walk sampling, selecting the best model on the validation graphs,
-3. predict a class for every gate of the attacked design,
+3. predict a class for every gate of the attacked design (forwarding only
+   the nodes the model reads for them, see :func:`attack_design`),
 4. rectify the predictions with the connectivity-based post-processing,
 5. remove the identified protection logic and repair the netlist,
 6. verify the recovered design against the original (the paper uses Synopsys
@@ -20,6 +21,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from ..gnn.data import receptive_field
 from ..gnn.model import GnnConfig, GraphSageClassifier
 from ..gnn.trainer import TrainingHistory, train_node_classifier
 from ..netlist.circuit import Circuit
@@ -151,6 +153,14 @@ def attack_design(
     the attack at the prediction stage — the split is recomputed
     deterministically, so a cached model produces an outcome identical to the
     run that trained it.
+
+    Prediction forwards only the receptive field of the attacked design's
+    nodes (:func:`~repro.gnn.data.receptive_field`): the model's output at a
+    node depends on its ``model.aggregation_layers``-hop neighbourhood
+    alone, and the dataset's blocks share no edges, so the field is the
+    design itself.  Its probabilities may differ from a whole-graph
+    forward's in the last bit only, far below the usual margin between the
+    top two classes, so the predicted classes are the same.
     """
     start = time.perf_counter()
     config = config if config is not None else AttackConfig()
@@ -168,10 +178,15 @@ def attack_design(
         split = leave_one_design_out(
             dataset, target_benchmark, validation_benchmark=validation_benchmark
         )
-    graph_data = dataset.to_graph_data(split.train, split.val, split.test)
-    predictions = model.predict(
-        graph_data.features, graph_data.normalized_adjacency()
+    # Only the target's entries of ``predictions`` are read.
+    scored = np.flatnonzero(split.test)
+    field, adj_norm = receptive_field(
+        dataset.adjacency, scored, model.aggregation_layers
     )
+    predictions = np.full(dataset.n_nodes, -1, dtype=np.int64)
+    predictions[scored] = model.predict(dataset.features[field], adj_norm)[
+        np.searchsorted(field, scored)
+    ]
 
     instance_outcomes: List[InstanceOutcome] = []
     all_true: List[np.ndarray] = []

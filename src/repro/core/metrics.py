@@ -8,7 +8,6 @@ success after post-processing.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, Sequence, Tuple
 
@@ -67,15 +66,23 @@ def classification_report(
     predicted_classes: Sequence[int],
     class_names: Sequence[str],
 ) -> ClassificationReport:
-    """Compute accuracy, per-class P/R/F1, confusion matrix and error breakdown."""
+    """Compute accuracy, per-class P/R/F1, confusion matrix and error breakdown.
+
+    Every class index must name one of ``class_names``.
+    """
     true_arr = np.asarray(true_classes, dtype=np.int64)
     pred_arr = np.asarray(predicted_classes, dtype=np.int64)
     if true_arr.shape != pred_arr.shape:
         raise ValueError("true and predicted class arrays must have equal length")
     n_classes = len(class_names)
-    confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
-    for t, p in zip(true_arr, pred_arr):
-        confusion[t, p] += 1
+    if true_arr.size and (
+        min(true_arr.min(), pred_arr.min()) < 0
+        or max(true_arr.max(), pred_arr.max()) >= n_classes
+    ):
+        raise ValueError(f"class indices must lie in [0, {n_classes})")
+    confusion = np.bincount(
+        true_arr * n_classes + pred_arr, minlength=n_classes * n_classes
+    ).reshape(n_classes, n_classes)
 
     per_class: Dict[str, ClassMetrics] = {}
     for idx, name in enumerate(class_names):
@@ -98,13 +105,11 @@ def classification_report(
             support=support,
         )
 
-    misclassified: Dict[Tuple[str, str], int] = dict(
-        Counter(
-            (class_names[t], class_names[p])
-            for t, p in zip(true_arr, pred_arr)
-            if t != p
-        )
-    )
+    errors = confusion - np.diag(np.diag(confusion))
+    misclassified: Dict[Tuple[str, str], int] = {
+        (class_names[t], class_names[p]): int(errors[t, p])
+        for t, p in zip(*np.nonzero(errors))
+    }
     accuracy = float((true_arr == pred_arr).mean()) if true_arr.size else 1.0
     return ClassificationReport(
         accuracy=accuracy,

@@ -1,6 +1,11 @@
 """From-scratch GraphSAGE / GraphSAINT implementation (numpy only)."""
 
-from .data import GraphData, normalize_adjacency, normalize_induced_adjacency
+from .data import (
+    GraphData,
+    normalize_adjacency,
+    normalize_induced_adjacency,
+    receptive_field,
+)
 from .layers import DenseLayer, Dropout, GraphSageLayer, glorot
 from .model import GnnConfig, GraphSageClassifier, cross_entropy_loss, softmax
 from .optim import Adam
@@ -11,6 +16,7 @@ __all__ = [
     "GraphData",
     "normalize_adjacency",
     "normalize_induced_adjacency",
+    "receptive_field",
     "DenseLayer",
     "Dropout",
     "GraphSageLayer",

@@ -3,12 +3,28 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
-__all__ = ["GraphData", "normalize_adjacency", "normalize_induced_adjacency"]
+__all__ = [
+    "GraphData",
+    "normalize_adjacency",
+    "normalize_induced_adjacency",
+    "receptive_field",
+]
+
+
+def _row_entries(
+    indptr: np.ndarray, rows: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Storage positions of every entry of ``rows``, row by row in storage
+    order, and each row's entry count."""
+    starts = indptr[rows]
+    counts = indptr[rows + 1] - starts
+    offsets = np.cumsum(counts) - counts
+    return np.arange(counts.sum()) + np.repeat(starts - offsets, counts), counts
 
 
 def normalize_induced_adjacency(
@@ -33,12 +49,9 @@ def normalize_induced_adjacency(
     m = nodes.size
     position = np.full(adjacency.shape[0], -1, dtype=np.int64)
     position[nodes] = np.arange(m)
-    starts = adjacency.indptr[nodes]
-    counts = adjacency.indptr[nodes + 1] - starts
     # Every entry of the selected rows, row by row in storage order; keep
     # those whose column is selected too.
-    offsets = np.cumsum(counts) - counts
-    entries = np.arange(counts.sum()) + np.repeat(starts - offsets, counts)
+    entries, counts = _row_entries(adjacency.indptr, nodes)
     rows = np.repeat(np.arange(m), counts)
     cols = position[adjacency.indices[entries]]
     inside = cols >= 0
@@ -63,6 +76,42 @@ def normalize_adjacency(adjacency: sp.spmatrix) -> sp.csr_matrix:
     """Row-normalise a whole adjacency matrix (mean aggregation operator)."""
     adjacency = sp.csr_matrix(adjacency)
     return normalize_induced_adjacency(adjacency, np.arange(adjacency.shape[0]))
+
+
+def receptive_field(
+    adjacency: sp.csr_matrix, nodes: np.ndarray, hops: int
+) -> Tuple[np.ndarray, sp.csr_matrix]:
+    """What a ``hops``-layer GraphSAGE network reads to score ``nodes``.
+
+    Returns the sorted node indices within ``hops`` steps of ``nodes`` (the
+    receptive field) and the :func:`normalize_induced_adjacency` operator of
+    the subgraph they induce.  Forwarding the field's features through that
+    operator scores ``nodes`` as a forward over the whole graph does.
+    Aggregation layer ``k`` (from 1) needs to be right only at the nodes
+    within ``hops - k`` steps of ``nodes``.  Each of them is closer than
+    ``hops``, so all its neighbours are in the field and its operator row
+    holds the whole graph's values in the whole graph's storage order.
+    That holds whether or not ``nodes`` is a closed component.  The dense
+    products run over fewer rows, so a probability may differ from the
+    whole-graph forward's in the last bit.
+
+    The breadth-first search expands one frontier per hop with one CSR
+    gather.
+    """
+    reached = np.zeros(adjacency.shape[0], dtype=bool)
+    reached[nodes] = True
+    frontier = np.flatnonzero(reached)
+    for _ in range(hops):
+        entries, _ = _row_entries(adjacency.indptr, frontier)
+        fresh = np.zeros_like(reached)
+        fresh[adjacency.indices[entries]] = True
+        fresh &= ~reached
+        if not fresh.any():
+            break
+        reached |= fresh
+        frontier = np.flatnonzero(fresh)
+    field = np.flatnonzero(reached)
+    return field, normalize_induced_adjacency(adjacency, field)
 
 
 @dataclass

@@ -99,6 +99,10 @@ class GnnConfig:
 class GraphSageClassifier:
     """Two-SAGE-layer node classifier with manual numpy backpropagation."""
 
+    #: GraphSAGE layers in the network: a node's output depends on its
+    #: neighbourhood up to this many hops and on nothing else.
+    aggregation_layers = 2
+
     def __init__(self, config: GnnConfig):
         self.config = config
         rng = np.random.default_rng(config.seed)

@@ -8,6 +8,13 @@ performance on the validation set is used to evaluate the test set accuracy".
 :class:`TrainingHistory` records how long the training step spent building
 mini-batches (``sample_wait_s``): the random walks plus the batch's
 normalised adjacency, which the sampler builds with the batch.
+
+Validation forwards only the validation nodes' receptive field (see
+:func:`~repro.gnn.data.receptive_field`), built once per trainer: the
+model's output at a node reads nothing beyond its 2-hop neighbourhood, so
+this scores the validation nodes as a whole-graph forward does (the
+probabilities may move in the last bit, the argmax does not).  The
+whole-graph operator is built only for full-batch training.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from typing import List, Optional
 import numpy as np
 
 from ..obs import span
-from .data import GraphData
+from .data import GraphData, receptive_field
 from .model import GnnConfig, GraphSageClassifier, cross_entropy_loss
 from .optim import Adam
 from .sampler import RandomWalkSampler, SampledSubgraph
@@ -63,9 +70,9 @@ class Trainer:
             weight_decay=self.config.weight_decay,
         )
         self.history = TrainingHistory()
-        self._full_adj_norm = graph.normalized_adjacency()
         self._class_weights = self._compute_class_weights()
         self._sampler: Optional[RandomWalkSampler] = None
+        self._full_adj_norm = None
         if self.config.sampler == "random_walk" and graph.train_mask.sum() > 0:
             self._sampler = RandomWalkSampler(
                 graph,
@@ -73,6 +80,14 @@ class Trainer:
                 walk_length=self.config.walk_length,
                 rng=self.rng,
             )
+        else:
+            self._full_adj_norm = graph.normalized_adjacency()
+        self._val_nodes = np.flatnonzero(graph.val_mask)
+        val_field, self._val_adj_norm = receptive_field(
+            graph.adjacency, self._val_nodes, model.aggregation_layers
+        )
+        self._val_features = graph.features[val_field]
+        self._val_rows = np.searchsorted(val_field, self._val_nodes)
 
     # ------------------------------------------------------------------
     def _compute_class_weights(self) -> np.ndarray:
@@ -115,13 +130,17 @@ class Trainer:
         self.optimizer.step(self.model.gradients)
         return loss
 
-    def evaluate(self, mask: np.ndarray) -> float:
-        """Accuracy of the current model on the nodes selected by ``mask``."""
-        mask = mask.astype(bool)
-        if not mask.any():
+    def evaluate(self) -> float:
+        """Accuracy of the current model on the validation nodes.
+
+        Forwards the validation nodes' receptive field only.
+        """
+        if not self._val_nodes.size:
             return 0.0
-        predictions = self.model.predict(self.graph.features, self._full_adj_norm)
-        return float((predictions[mask] == self.graph.labels[mask]).mean())
+        predictions = self.model.predict(self._val_features, self._val_adj_norm)[
+            self._val_rows
+        ]
+        return float((predictions == self.graph.labels[self._val_nodes]).mean())
 
     # ------------------------------------------------------------------
     def fit(self) -> TrainingHistory:
@@ -151,7 +170,7 @@ class Trainer:
                     (epoch + 1) % config.eval_every == 0
                     or epoch == config.epochs - 1
                 ):
-                    val_acc = self.evaluate(self.graph.val_mask)
+                    val_acc = self.evaluate()
                     self.history.val_accuracy.append(val_acc)
                     if val_acc > best_val:
                         best_val = val_acc

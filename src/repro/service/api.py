@@ -878,13 +878,20 @@ class CampaignService:
         #: Cross-campaign result warehouse.  Finished jobs are ingested by
         #: the worker/coordinator post-finish hook; the query endpoints also
         #: tail every job store lazily, so a state dir predating the
-        #: warehouse migrates on first query.
+        #: warehouse migrates on first query (see :meth:`refresh_warehouse`).
         self.warehouse = Warehouse(
             warehouse_dir
             if warehouse_dir is not None
             else self.queue.state_dir / "warehouse"
         )
         self._warehouse_ingest_lock = threading.Lock()
+        #: Set once the first refresh has swept the whole state dir.
+        self._warehouse_swept = False
+        #: ``{job_id: finished_at}`` of the finishes whose store the
+        #: post-finish hook has ingested.  The store of a job still at that
+        #: finish no longer grows, so refreshes skip it; a re-enqueued job
+        #: clears ``finished_at`` and is tailed again.
+        self._warehouse_settled: Dict[str, float] = {}
         resolved_cache_dir = cache_dir if cache_dir is not None else default_cache_dir()
         #: Backing store of the /v1/artifacts object-store endpoints.
         self.artifact_cache = ArtifactCache(
@@ -925,7 +932,10 @@ class CampaignService:
 
     def _ingest_finished_job(self, job: Job) -> None:
         """Post-finish hook: tail the finished job's store into the warehouse."""
+        finished_at = job.finished_at
         self.ingest_job_store(job.job_id)
+        with self._warehouse_ingest_lock:
+            self._warehouse_settled[job.job_id] = finished_at
 
     def ingest_job_store(self, job_id: str) -> int:
         """Ingest one job store's un-ingested tail; returns records added."""
@@ -937,13 +947,43 @@ class CampaignService:
         return added
 
     def refresh_warehouse(self) -> Dict[str, int]:
-        """Tail every job store (lazy migration of pre-warehouse state dirs).
+        """Tail every job store that can still grow.
 
-        Cheap when nothing changed: each source's byte cursor is compared to
-        the store file's size and only appended tails are read.
+        The first refresh sweeps every store of the state dir (lazy
+        migration of pre-warehouse state dirs).  Later ones tail only the
+        stores of jobs that were unfinished at that sweep and that the
+        post-finish hook has not ingested since, so a query costs one
+        ``stat`` per live job rather than one per job ever run.  Each
+        source's byte cursor is compared to the store file's size and only
+        appended tails are read.
         """
         with self._warehouse_ingest_lock:
-            added = ingest_state_dir(self.warehouse, self.queue.state_dir)
+            if not self._warehouse_swept:
+                # Stores of jobs finished before the sweep are complete.
+                finished = {
+                    job.job_id: job.finished_at
+                    for job in self.queue.jobs()
+                    if job.finished_at is not None
+                }
+                added = ingest_state_dir(self.warehouse, self.queue.state_dir)
+                self._warehouse_settled.update(finished)
+                self._warehouse_swept = True
+            else:
+                added = {}
+                for job in self.queue.jobs():
+                    finished_at = job.finished_at
+                    if (
+                        finished_at is not None
+                        and self._warehouse_settled.get(job.job_id) == finished_at
+                    ):
+                        continue
+                    count = ingest_store(
+                        self.warehouse,
+                        self.queue.stores_dir / f"{job.job_id}.jsonl",
+                        source=job.job_id,
+                    )
+                    if count:
+                        added[job.job_id] = count
         total = sum(added.values())
         if total:
             self.metrics.inc("repro_warehouse_ingested_records_total", total)

@@ -1,7 +1,10 @@
 """Unit tests for classification metrics and table reporting."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import classification_report, format_percent, format_table
 from repro.core.metrics import ClassificationReport
@@ -52,6 +55,70 @@ class TestClassificationReport:
     def test_empty_input(self):
         report = classification_report([], [], ["DN", "AN"])
         assert report.accuracy == 1.0
+        assert_same_report(report, reference_report([], [], ["DN", "AN"]))
+
+    @pytest.mark.parametrize(
+        "true, pred", [([0, 0], [1, 2]), ([1], [-1]), ([-1], [3]), ([2], [0])]
+    )
+    def test_unknown_class_index_rejected(self, true, pred):
+        # With two classes the bad pair's flat index ``2 * t + p`` names the
+        # cell (1, 0), (0, 1), (0, 1) or lies past the end: none may count.
+        with pytest.raises(ValueError, match="class indices"):
+            classification_report(true, pred, ["DN", "AN"])
+
+
+def reference_report(true, pred, class_names):
+    """The per-node loop ``classification_report`` ran before its bincount."""
+    n_classes = len(class_names)
+    confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
+    for t, p in zip(true, pred):
+        confusion[t, p] += 1
+    per_class = {}
+    for idx, name in enumerate(class_names):
+        tp = confusion[idx, idx]
+        fp = confusion[:, idx].sum() - tp
+        fn = confusion[idx, :].sum() - tp
+        support = int(confusion[idx, :].sum())
+        precision = tp / (tp + fp) if (tp + fp) > 0 else (1.0 if support == 0 else 0.0)
+        recall = tp / (tp + fn) if (tp + fn) > 0 else 1.0
+        f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
+        per_class[name] = (float(precision), float(recall), float(f1), support)
+    misclassified = dict(
+        Counter((class_names[t], class_names[p]) for t, p in zip(true, pred) if t != p)
+    )
+    true_arr, pred_arr = np.asarray(true), np.asarray(pred)
+    accuracy = float((true_arr == pred_arr).mean()) if true_arr.size else 1.0
+    return confusion, per_class, misclassified, accuracy
+
+
+def assert_same_report(report, reference):
+    confusion, per_class, misclassified, accuracy = reference
+    assert report.confusion.dtype == np.int64
+    assert np.array_equal(report.confusion, confusion)
+    assert {
+        name: (m.precision, m.recall, m.f1, m.support)
+        for name, m in report.per_class.items()
+    } == per_class
+    assert report.misclassified == misclassified
+    assert report.accuracy == accuracy
+
+
+@st.composite
+def labelled_nodes(draw):
+    n_classes = draw(st.integers(min_value=2, max_value=4))
+    label = st.integers(min_value=0, max_value=n_classes - 1)
+    pairs = draw(st.lists(st.tuples(label, label), max_size=60))
+    names = ["DN", "RN", "PN", "AN"][:n_classes]
+    return [t for t, _ in pairs], [p for _, p in pairs], names
+
+
+@given(labelled_nodes())
+@settings(max_examples=300, deadline=None)
+def test_bincount_report_equals_the_per_node_loop(case):
+    true, pred, names = case
+    assert_same_report(
+        classification_report(true, pred, names), reference_report(true, pred, names)
+    )
 
 
 class TestFormatting:

@@ -142,3 +142,83 @@ class TestWarehouseAuth:
                 call()
             assert excinfo.value.status == 403
         assert "records" in clients["ops"].warehouse_stats()
+
+
+class TestWarehouseRefresh:
+    """After the first sweep, a refresh tails only stores that can grow:
+    those of unfinished jobs and of finishes the post-finish hook has not
+    ingested yet."""
+
+    @pytest.fixture
+    def service(self, tmp_path):
+        from repro.service import CampaignService
+
+        # Never started: the test plays the worker and its post-finish hook.
+        return CampaignService(tmp_path / "state", port=0, cache_dir=tmp_path / "c")
+
+    @pytest.fixture
+    def tailed(self, monkeypatch):
+        import repro.service.api as api
+
+        sources = []
+
+        def spy(warehouse, path, *, source=None):
+            sources.append(source)
+            return original(warehouse, path, source=source)
+
+        original = api.ingest_store
+        monkeypatch.setattr(api, "ingest_store", spy)
+        return sources
+
+    @staticmethod
+    def _append(job, n):
+        ResultStore(job.store_path).append(
+            {"task_id": f"{job.job_id}/{n}", "fingerprint": f"{job.job_id}-{n}"}
+        )
+
+    def test_finished_stores_are_skipped_until_requeued(self, service, tailed):
+        queue = service.queue
+        done, _ = queue.submit(summary_spec("done"))
+        queue.claim(timeout=0)
+        self._append(done, 0)
+        queue.finish(done, "done")
+        service._ingest_finished_job(done)
+        live, _ = queue.submit(summary_spec("live"))
+        queue.claim(timeout=0)
+        self._append(live, 0)
+
+        service.refresh_warehouse()  # the first sweep reads every store
+        assert len(service.warehouse) == 2
+        tailed.clear()
+        self._append(live, 1)
+        assert service.refresh_warehouse() == {live.job_id: 1}
+        assert tailed == [live.job_id]
+
+        queue.finish(live, "failed", error="boom")
+        tailed.clear()
+        service.refresh_warehouse()  # finished, but the hook has not run
+        assert tailed == [live.job_id]
+        service._ingest_finished_job(live)
+        tailed.clear()
+        service.refresh_warehouse()
+        assert tailed == []
+
+        queue.submit(summary_spec("live"))  # a failed job re-runs
+        self._append(live, 2)
+        assert service.refresh_warehouse() == {live.job_id: 1}
+        assert tailed == [live.job_id]
+        assert len(service.warehouse) == 4
+
+    def test_first_sweep_settles_jobs_finished_before_it(self, tmp_path, tailed):
+        from repro.service import CampaignService
+
+        earlier = CampaignService(tmp_path / "state", port=0, cache_dir=tmp_path / "c")
+        job, _ = earlier.queue.submit(summary_spec("old"))
+        earlier.queue.claim(timeout=0)
+        self._append(job, 0)
+        earlier.queue.finish(job, "done")
+
+        service = CampaignService(tmp_path / "state", port=0, cache_dir=tmp_path / "c")
+        assert service.refresh_warehouse() == {job.job_id: 1}
+        service.refresh_warehouse()
+        assert tailed == []
