@@ -170,11 +170,12 @@ def _identity(stat: os.stat_result) -> _Identity:
 class _DecodedMemo:
     """Process-wide LRU of decoded artifacts, keyed by file path.
 
-    Bounded by :data:`MEMO_MAX_BYTES` of file bytes; one lock guards the
-    dict, and callers decode outside it.
+    Bounded by ``max_bytes`` (default :data:`MEMO_MAX_BYTES`) of file
+    bytes; one lock guards the dict, and callers decode outside it.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, max_bytes: Optional[int] = None) -> None:
+        self.max_bytes = max_bytes
         self._lock = threading.Lock()
         self._entries: "OrderedDict[str, Tuple[_Identity, object]]" = OrderedDict()
         self._bytes = 0
@@ -189,14 +190,15 @@ class _DecodedMemo:
 
     def put(self, path: str, identity: _Identity, value: object) -> None:
         """Hold ``value`` as the most recently used entry."""
+        bound = MEMO_MAX_BYTES if self.max_bytes is None else self.max_bytes
         with self._lock:
             self._drop(path)
             size = identity[1]
-            if size > MEMO_MAX_BYTES:
+            if size > bound:
                 return
             self._entries[path] = (identity, value)
             self._bytes += size
-            while self._bytes > MEMO_MAX_BYTES:
+            while self._bytes > bound:
                 _, (old, _) = self._entries.popitem(last=False)
                 self._bytes -= old[1]
 

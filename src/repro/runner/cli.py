@@ -84,13 +84,7 @@ from .campaign import (
     profile_campaign,
     registered_attacks,
 )
-from ..warehouse import (
-    Warehouse,
-    aggregate_stream,
-    build_filter,
-    ingest_store,
-    parse_since,
-)
+from ..warehouse import Warehouse, aggregate_stream, build_filter, parse_since
 from .executor import run_campaign
 from .matrix import (
     WarehouseMatrixHistory,
@@ -217,6 +211,13 @@ def _service_client(args: argparse.Namespace) -> ServiceClient:
     return ServiceClient(url, token=token)
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
 def _add_cache_arguments(parser: argparse.ArgumentParser) -> None:
     cache = parser.add_argument_group("artifact cache")
     cache.add_argument(
@@ -314,7 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     matrix.add_argument(
         "--warehouse", type=Path, default=None, metavar="DIR",
-        help="result warehouse recording the sweep history for trend deltas "
+        help="warehouse directory whose matrix-history store records each sweep "
+        "for trend deltas; several --name histories can share one "
         "(default: <store>.history/)",
     )
     matrix.add_argument(
@@ -394,12 +396,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     warehouse = sub.add_parser(
         "warehouse",
-        help="cross-campaign result warehouse (ingest / query / compact / stats)",
+        help="cross-campaign result warehouse (ingest / query / stats)",
     )
     wh_sub = warehouse.add_subparsers(dest="warehouse_command", required=True)
 
     wh_ingest = wh_sub.add_parser(
-        "ingest", help="tail JSONL result stores into a warehouse"
+        "ingest",
+        help="register JSONL result stores with a warehouse (read in place, not copied)",
     )
     wh_ingest.add_argument(
         "--warehouse", type=Path, required=True, metavar="DIR",
@@ -407,11 +410,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     wh_ingest.add_argument(
         "--store", action="append", type=Path, default=[], dest="stores",
-        metavar="FILE", help="JSONL store to ingest (repeatable)",
+        metavar="FILE", help="JSONL store to register (repeatable)",
     )
     wh_ingest.add_argument(
         "--state-dir", type=Path, default=None, metavar="DIR",
-        help="service state dir: ingest every stores/*.jsonl under it",
+        help="service state dir: register every stores/*.jsonl under it",
     )
 
     wh_query = wh_sub.add_parser(
@@ -429,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(epoch seconds, ISO date, or an age like 30d/12h)",
     )
     wh_query.add_argument(
-        "--limit", type=int, default=1000, help="record cap for listings"
+        "--limit", type=_positive_int, default=1000, help="record cap for listings"
     )
     wh_query.add_argument(
         "--aggregate", action="store_true",
@@ -446,16 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_service_arguments(wh_query)
 
-    wh_compact = wh_sub.add_parser(
-        "compact", help="fold superseded records into fresh shards"
-    )
-    wh_compact.add_argument(
-        "--warehouse", type=Path, default=None, metavar="DIR",
-        help="warehouse directory (omit to compact via --url, admin only)",
-    )
-    _add_service_arguments(wh_compact)
-
-    wh_stats = wh_sub.add_parser("stats", help="shard / index / source stats")
+    wh_stats = wh_sub.add_parser("stats", help="record / line / corrupt counts per source")
     wh_stats.add_argument(
         "--warehouse", type=Path, default=None, metavar="DIR",
         help="warehouse directory (omit to read via --url, admin only)",
@@ -748,7 +742,6 @@ def _cmd_warehouse(args: argparse.Namespace) -> int:
     handlers = {
         "ingest": _warehouse_ingest,
         "query": _warehouse_query,
-        "compact": _warehouse_compact,
         "stats": _warehouse_stats,
     }
     return handlers[args.warehouse_command](args)
@@ -758,21 +751,18 @@ def _warehouse_ingest(args: argparse.Namespace) -> int:
     if not args.stores and args.state_dir is None:
         raise ValueError("nothing to ingest: pass --store and/or --state-dir")
     warehouse = Warehouse(args.warehouse)
-    total = 0
     sources: List[Path] = list(args.stores)
     if args.state_dir is not None:
         sources += sorted((args.state_dir / "stores").glob("*.jsonl"))
     for path in sources:
         if not path.is_file():
             raise ValueError(f"store not found: {path}")
-        added = ingest_store(warehouse, path, source=path.stem)
-        total += added
-        print(f"{path.stem}: +{added} record(s)")
-    warehouse.flush()
+        added = warehouse.register(path)
+        print(f"{path.stem}: {'registered' if added else 'already registered'}")
     stats = warehouse.stats()
     print(
-        f"ingested {total} record(s); warehouse holds {stats['records']} "
-        f"across {stats['shards']} shard(s)"
+        f"warehouse holds {stats['records']} record(s) "
+        f"from {len(stats['sources'])} source(s)"
     )
     return 0
 
@@ -832,23 +822,6 @@ def _warehouse_query(args: argparse.Namespace) -> int:
             break
         print(json.dumps(record, sort_keys=True))
         shown += 1
-    return 0
-
-
-def _warehouse_compact(args: argparse.Namespace) -> int:
-    if args.warehouse is None:
-        result = _service_client(args).warehouse_compact()
-    else:
-        result = Warehouse(args.warehouse).compact()
-    if args.as_json:
-        print(json.dumps(result, sort_keys=True))
-    elif result.get("compacted"):
-        print(
-            f"folded {result['folded']} superseded line(s); "
-            f"{result['records']} record(s) in {result['shards']} shard(s)"
-        )
-    else:
-        print("nothing to fold")
     return 0
 
 

@@ -20,6 +20,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..locking import SCHEMES
 from .campaign import CampaignSpec, profile_config, registered_attacks
+from .store import ResultStore
 
 __all__ = [
     "WarehouseMatrixHistory",
@@ -190,23 +191,19 @@ def build_matrix(records: Iterable[Mapping[str, object]]) -> Dict[str, Dict[str,
 
 
 class WarehouseMatrixHistory:
-    """Matrix sweep history backed by the result warehouse.
+    """Matrix sweep history kept in a result warehouse directory.
 
-    Every sweep is one warehouse record under an archival key
-    (``matrix:<name>:<n>``), and the most recent sweep is *also* written
-    under a stable head key (``matrix:<name>``), so the nightly re-sweep's
-    ``latest()`` is a single index seek, regardless of how many campaigns
-    share the warehouse.  Superseded head records are folded away by
-    ordinary compaction.
+    Every sweep appends one record to the history's own JSONL store in the
+    warehouse (:meth:`~repro.warehouse.Warehouse.store_path`), registered
+    there as source ``matrix:<name>``: histories of several names share a
+    directory, and ``repro warehouse query`` sees their sweeps.
     """
 
     def __init__(self, warehouse, *, name: str = "capability-matrix") -> None:
         self.warehouse = warehouse
         self.name = str(name)
-
-    @property
-    def _head_key(self) -> str:
-        return f"matrix:{self.name}"
+        self.source = f"matrix:{self.name}"
+        self.store = ResultStore(warehouse.store_path(self.source))
 
     def append(
         self,
@@ -214,48 +211,35 @@ class WarehouseMatrixHistory:
         *,
         recorded_at: Optional[float] = None,
     ) -> None:
-        head = self.warehouse.get(self._head_key)
-        sweep = int(head.get("sweep", 0)) + 1 if head else 1
-        snapshot = {
-            "kind": "matrix_sweep",
-            "matrix": self.name,
-            "sweep": sweep,
-            "recorded_at": float(
-                recorded_at if recorded_at is not None else time.time()
-            ),
-            "cells": {key: dict(cell) for key, cell in cells.items()},
-        }
-        self.warehouse.append_many(
-            [
-                (f"{self._head_key}:{sweep}", snapshot),
-                (self._head_key, snapshot),
-            ],
-            source=f"matrix:{self.name}",
+        self.warehouse.register(self.store.path, source=self.source)
+        self.store.append(
+            {
+                "kind": "matrix_sweep",
+                "matrix": self.name,
+                "sweep": len(self) + 1,
+                "recorded_at": float(
+                    recorded_at if recorded_at is not None else time.time()
+                ),
+                "cells": {key: dict(cell) for key, cell in cells.items()},
+            }
         )
-        self.warehouse.flush()
 
     def sweeps(self) -> List[Dict[str, object]]:
-        head_key = self._head_key
-
-        def is_archived_sweep(env: Mapping[str, object]) -> bool:
-            if env.get("k") == head_key:
-                return False
-            record = env.get("r", {})
-            return (
-                isinstance(record, Mapping)
-                and record.get("kind") == "matrix_sweep"
-                and record.get("matrix") == self.name
-                and isinstance(record.get("cells"), dict)
-            )
-
-        return list(self.warehouse.iter_records(is_archived_sweep))
+        return [
+            record
+            for record in self.store.load()
+            if record.get("kind") == "matrix_sweep"
+            and record.get("matrix") == self.name
+            and isinstance(record.get("cells"), dict)
+        ]
 
     def latest(self) -> Optional[Dict[str, object]]:
-        return self.warehouse.get(self._head_key)
+        sweeps = self.sweeps()
+        return sweeps[-1] if sweeps else None
 
     def __len__(self) -> int:
-        head = self.warehouse.get(self._head_key)
-        return int(head.get("sweep", 0)) if head else 0
+        latest = self.latest()
+        return int(latest.get("sweep", 0)) if latest else 0
 
 
 def trend_deltas(

@@ -10,6 +10,7 @@ The store is append-only, so re-running a campaign keeps history;
 from __future__ import annotations
 
 import json
+import os
 import time
 from collections import defaultdict
 from pathlib import Path
@@ -29,9 +30,58 @@ __all__ = [
     "aggregate",
     "campaign_table",
     "h_tech_table",
+    "latest_records",
     "paper_table",
+    "read_store",
     "render_report",
 ]
+
+
+def read_store(path) -> Tuple[List[Dict[str, object]], int]:
+    """Parse a JSONL store: ``(records oldest first, corrupt line count)``.
+
+    The file is read as bytes once and split on ``\\n``.  A final line
+    without its newline is still being written (or was torn by a crash) and
+    is neither returned nor counted; the next :meth:`ResultStore.append`
+    terminates a torn one.  Lines that do not parse to a JSON object are
+    counted as corrupt.  A missing file reads as empty.
+    """
+    try:
+        data = Path(path).read_bytes()
+    except FileNotFoundError:
+        return [], 0
+    lines = data.split(b"\n")
+    lines.pop()  # b"" after a final newline, else the unfinished line
+    records: List[Dict[str, object]] = []
+    corrupt = 0
+    for line in lines:
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except ValueError:
+            record = None
+        if isinstance(record, dict):
+            records.append(record)
+        else:
+            corrupt += 1
+    return records, corrupt
+
+
+def latest_records(
+    records: Iterable[Dict[str, object]],
+) -> Dict[str, Dict[str, object]]:
+    """Most recent record per task fingerprint, in first-seen key order.
+
+    Records carrying neither a ``fingerprint`` nor a ``task_id`` (foreign
+    or hand-written lines) stay distinct under a synthetic per-line key
+    instead of all collapsing onto one entry.
+    """
+    latest: Dict[str, Dict[str, object]] = {}
+    for index, record in enumerate(records):
+        key = record.get("fingerprint") or record.get("task_id")
+        latest[str(key) if key else f"#record{index}"] = record
+    return latest
 
 
 class ResultStore:
@@ -53,10 +103,18 @@ class ResultStore:
         data = (json.dumps(payload, sort_keys=True, default=str) + "\n").encode(
             "utf-8"
         )
-        with open(self.path, "ab", buffering=0) as handle:
+        with open(self.path, "a+b", buffering=0) as handle:
             if fcntl is not None:
                 fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
             try:
+                size = handle.seek(0, os.SEEK_END)
+                if size:
+                    handle.seek(size - 1)
+                    if handle.read(1) != b"\n":
+                        # A crashed writer's torn tail: terminate it so it
+                        # reads as one corrupt line instead of swallowing
+                        # this record.
+                        data = b"\n" + data
                 view = memoryview(data)
                 while view:
                     written = handle.write(view)
@@ -66,7 +124,7 @@ class ResultStore:
                     fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
 
     def load(self) -> List[Dict[str, object]]:
-        """All records, oldest first.
+        """All records, oldest first (see :func:`read_store`).
 
         Unparseable lines are skipped but *counted*: the tally lands in
         :attr:`last_corrupt_lines` and on the
@@ -74,37 +132,15 @@ class ResultStore:
         shows up in reports and on ``/metricsz`` instead of silently
         under-reporting.
         """
-        self.last_corrupt_lines = 0
-        if not self.path.is_file():
-            return []
-        records: List[Dict[str, object]] = []
-        corrupt = 0
-        with self.path.open("r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    records.append(json.loads(line))
-                except json.JSONDecodeError:
-                    corrupt += 1
+        records, corrupt = read_store(self.path)
         self.last_corrupt_lines = corrupt
         if corrupt:
             get_registry().inc("repro_store_corrupt_lines_total", corrupt)
         return records
 
     def latest(self) -> Dict[str, Dict[str, object]]:
-        """Most recent record per task fingerprint.
-
-        Records carrying neither a ``fingerprint`` nor a ``task_id`` (foreign
-        or hand-written lines) stay distinct under a synthetic per-line key
-        instead of all collapsing onto one entry.
-        """
-        latest: Dict[str, Dict[str, object]] = {}
-        for index, record in enumerate(self.load()):
-            key = record.get("fingerprint") or record.get("task_id")
-            latest[str(key) if key else f"#record{index}"] = record
-        return latest
+        """Most recent record per task fingerprint (see :func:`latest_records`)."""
+        return latest_records(self.load())
 
     def clear(self) -> None:
         if self.path.is_file():

@@ -17,19 +17,19 @@ Endpoints (JSON unless noted)::
     POST   /v1/jobs/<id>/cancel      request cancellation
     DELETE /v1/jobs/<id>             alias for cancel
 
-Warehouse endpoints (cross-campaign queries over every job's records;
-finished job stores are ingested automatically and any not-yet-ingested
-tail is picked up lazily on query; compaction runs only on request)::
+Warehouse endpoints (cross-campaign queries over the job stores, read in
+place, oldest submission first; nothing is copied, so a running job's
+finished tasks show up in the next query)::
 
     GET    /v1/warehouse/query       ?scheme=&attack=&suite=&status=&target=
                                      &since=&limit=  filtered records; add
                                      ``aggregate=1[&group_by=a,b]`` for
                                      streamed group averages instead.
-                                     Non-admin tokens see only records from
-                                     jobs they own (same masking rule as
+                                     Non-admin tokens replay only the jobs
+                                     they own (same masking rule as
                                      /v1/jobs); worker tokens are refused.
-    GET    /v1/warehouse/stats       shard/index/compaction stats (admin)
-    POST   /v1/warehouse/compact     fold superseded records now (admin)
+    GET    /v1/warehouse/stats       record/line/corrupt counts per job
+                                     store (admin)
 
 Fleet endpoints (worker or admin token; ``/v1/tasks`` requires the service
 to run with ``--fleet``)::
@@ -83,17 +83,17 @@ from urllib.parse import parse_qs
 
 from ..fleet.leases import LeaseError
 from ..obs import MetricsRegistry, emit
-from ..runner.cache import ArtifactCache, default_cache_dir, parse_size
+from ..runner.cache import (
+    _MISSING,
+    ArtifactCache,
+    _DecodedMemo,
+    _identity,
+    default_cache_dir,
+    parse_size,
+)
 from ..runner.campaign import CampaignSpec
 from ..runner.store import ResultStore, render_report
-from ..warehouse import (
-    Warehouse,
-    aggregate_stream,
-    build_filter,
-    ingest_state_dir,
-    ingest_store,
-    parse_since,
-)
+from ..warehouse import Warehouse, aggregate_stream, build_filter, parse_since
 from . import status as codes
 from .auth import TokenInfo, TokenRegistry
 from .jobs import Job, JobQueue
@@ -111,6 +111,9 @@ DEFAULT_ARTIFACT_MAX_BYTES = 1024 * 1024 * 1024
 
 #: Streaming chunk for artifact transfers.
 _ARTIFACT_CHUNK = 1024 * 1024
+
+#: Bound on the job-store file bytes whose parsed records queries keep.
+STORE_MEMO_MAX_BYTES = 8 * 1024 * 1024
 
 #: Cap on request bodies, enforced *before* buffering: campaign specs are a
 #: few KB, so anything near this is hostile.  Without the cap a tokenless
@@ -328,12 +331,7 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             return self._warehouse_query(identity)
         if path == "/v1/warehouse/stats" and method == "GET":
             self._require_admin(identity, "warehouse stats")
-            self.service.refresh_warehouse()
             return 200, {"stats": self.service.warehouse.stats()}
-        if path == "/v1/warehouse/compact" and method == "POST":
-            self._require_admin(identity, "warehouse compaction")
-            self.service.refresh_warehouse()
-            return 200, {"result": self.service.warehouse.compact()}
         raise _ApiError(404, codes.ERR_NOT_FOUND, f"no route {method} {path}")
 
     def _require_admin(self, identity: TokenInfo, what: str) -> None:
@@ -342,22 +340,14 @@ class _ServiceHandler(BaseHTTPRequestHandler):
                 403, codes.ERR_FORBIDDEN, f"{what} requires an admin token"
             )
 
-    def _warehouse_filter(self, identity: TokenInfo, params: Dict[str, str]):
-        """Build the envelope predicate, ownership masking included."""
+    def _warehouse_filter(self, params: Dict[str, str]):
+        """Build the envelope predicate from the query parameters."""
         since = None
         if "since" in params:
             try:
                 since = parse_since(params["since"])
             except ValueError as exc:
                 raise _ApiError(400, codes.ERR_INVALID_REQUEST, str(exc)) from None
-        sources = None
-        if not identity.is_admin:
-            # Same visibility rule as /v1/jobs: a tenant queries across the
-            # jobs it owns and nothing else — including nothing that would
-            # reveal whether other sources exist.
-            sources = [
-                job.job_id for job in self.service.queue.jobs(identity.name)
-            ]
         return build_filter(
             scheme=params.get("scheme"),
             attack=params.get("attack"),
@@ -365,14 +355,18 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             status=params.get("status"),
             target=params.get("target"),
             since=since,
-            sources=sources,
         )
 
     def _warehouse_query(self, identity: TokenInfo) -> Tuple[int, Dict[str, object]]:
         params = self._query()
-        self.service.refresh_warehouse()
-        where = self._warehouse_filter(identity, params)
-        warehouse = self.service.warehouse
+        where = self._warehouse_filter(params)
+        # Same visibility rule as /v1/jobs: a tenant replays the jobs it
+        # owns and nothing else, so nothing reveals that other jobs exist.
+        warehouse = JobStores(
+            self.service.queue,
+            self.service.warehouse.memo,
+            None if identity.is_admin else identity.name,
+        )
         if params.get("aggregate") in ("1", "true", "yes"):
             group_by = tuple(
                 field.strip()
@@ -826,6 +820,42 @@ class _ServiceServer(ThreadingHTTPServer):
         self.service = service
 
 
+class JobStores(Warehouse):
+    """The service's warehouse: its jobs' stores, oldest submission first.
+
+    ``owner`` restricts the sources to that principal's jobs.  Parsed
+    stores are kept in ``memo`` (the service's, shared by every view) and
+    checked against the file's identity (inode, size, mtime) on every
+    read, so a query costs one ``stat`` per unchanged store instead of a
+    read and a parse; the post-finish hook primes a finished job's entry.  Queries overlap a running job, and
+    every system call can hand that job the GIL: on the service benchmark,
+    reading and parsing every store per query put the slowest queries
+    about 60% higher.  The memoised records are shared; treat them as
+    read-only.
+    """
+
+    def __init__(
+        self, queue: JobQueue, memo: _DecodedMemo, owner: Optional[str] = None
+    ) -> None:
+        self.queue = queue
+        self.memo = memo
+        self.owner = owner
+
+    def sources(self) -> List[Tuple[str, os.PathLike]]:
+        return [(job.job_id, job.store_path) for job in self.queue.jobs(self.owner)]
+
+    def records(self, path) -> List[Dict[str, object]]:
+        try:
+            identity = _identity(os.stat(path))
+        except FileNotFoundError:
+            return []
+        records = self.memo.get(str(path), identity)
+        if records is _MISSING:
+            records = super().records(path)
+            self.memo.put(str(path), identity, records)
+        return records
+
+
 class CampaignService:
     """The long-lived campaign service: queue + workers + HTTP server.
 
@@ -856,7 +886,6 @@ class CampaignService:
         stream_max_wait_s: float = STREAM_MAX_WAIT_S,
         fleet: bool = False,
         lease_ttl_s: float = 30.0,
-        warehouse_dir: Optional[os.PathLike] = None,
         echo: Optional[Callable[[str], None]] = None,
     ):
         self.echo = echo if echo is not None else (lambda message: None)
@@ -875,23 +904,11 @@ class CampaignService:
         self.metrics = MetricsRegistry()
         self.queue = JobQueue(state_dir, metrics=self.metrics)
         self.recovered: List[str] = self.queue.recover()
-        #: Cross-campaign result warehouse.  Finished jobs are ingested by
-        #: the worker/coordinator post-finish hook; the query endpoints also
-        #: tail every job store lazily, so a state dir predating the
-        #: warehouse migrates on first query (see :meth:`refresh_warehouse`).
-        self.warehouse = Warehouse(
-            warehouse_dir
-            if warehouse_dir is not None
-            else self.queue.state_dir / "warehouse"
-        )
-        self._warehouse_ingest_lock = threading.Lock()
-        #: Set once the first refresh has swept the whole state dir.
-        self._warehouse_swept = False
-        #: ``{job_id: finished_at}`` of the finishes whose store the
-        #: post-finish hook has ingested.  The store of a job still at that
-        #: finish no longer grows, so refreshes skip it; a re-enqueued job
-        #: clears ``finished_at`` and is tailed again.
-        self._warehouse_settled: Dict[str, float] = {}
+        #: Cross-campaign result warehouse: every job's store, read in place.
+        self.warehouse = JobStores(self.queue, _DecodedMemo(STORE_MEMO_MAX_BYTES))
+        self._ingest_lock = threading.Lock()
+        #: ``{job_id: records}`` already counted by :meth:`ingest_job_store`.
+        self._ingested: Dict[str, int] = {}
         resolved_cache_dir = cache_dir if cache_dir is not None else default_cache_dir()
         #: Backing store of the /v1/artifacts object-store endpoints.
         self.artifact_cache = ArtifactCache(
@@ -921,7 +938,7 @@ class CampaignService:
             use_cache=use_cache,
             echo=self.echo,
             metrics=self.metrics,
-            on_job_finished=self._ingest_finished_job,
+            on_job_finished=lambda job: self.ingest_job_store(job.job_id),
             executor_for=None if self.fleet is None else self.fleet.executor_for,
         )
         self._httpd: Optional[_ServiceServer] = None
@@ -930,64 +947,20 @@ class CampaignService:
     # ------------------------------------------------------------------
     # Warehouse ingest.
 
-    def _ingest_finished_job(self, job: Job) -> None:
-        """Post-finish hook: tail the finished job's store into the warehouse."""
-        finished_at = job.finished_at
-        self.ingest_job_store(job.job_id)
-        with self._warehouse_ingest_lock:
-            self._warehouse_settled[job.job_id] = finished_at
-
     def ingest_job_store(self, job_id: str) -> int:
-        """Ingest one job store's un-ingested tail; returns records added."""
-        path = self.queue.stores_dir / f"{job_id}.jsonl"
-        with self._warehouse_ingest_lock:
-            added = ingest_store(self.warehouse, path, source=job_id)
-        if added:
-            self.metrics.inc("repro_warehouse_ingested_records_total", added)
-        return added
+        """Post-finish hook: count the records a job's store gained.
 
-    def refresh_warehouse(self) -> Dict[str, int]:
-        """Tail every job store that can still grow.
-
-        The first refresh sweeps every store of the state dir (lazy
-        migration of pre-warehouse state dirs).  Later ones tail only the
-        stores of jobs that were unfinished at that sweep and that the
-        post-finish hook has not ingested since, so a query costs one
-        ``stat`` per live job rather than one per job ever run.  Each
-        source's byte cursor is compared to the store file's size and only
-        appended tails are read.
+        Queries read the store in place, so nothing is copied; the count
+        feeds ``repro_warehouse_ingested_records_total``, and the read
+        leaves the store parsed for the next query.
         """
-        with self._warehouse_ingest_lock:
-            if not self._warehouse_swept:
-                # Stores of jobs finished before the sweep are complete.
-                finished = {
-                    job.job_id: job.finished_at
-                    for job in self.queue.jobs()
-                    if job.finished_at is not None
-                }
-                added = ingest_state_dir(self.warehouse, self.queue.state_dir)
-                self._warehouse_settled.update(finished)
-                self._warehouse_swept = True
-            else:
-                added = {}
-                for job in self.queue.jobs():
-                    finished_at = job.finished_at
-                    if (
-                        finished_at is not None
-                        and self._warehouse_settled.get(job.job_id) == finished_at
-                    ):
-                        continue
-                    count = ingest_store(
-                        self.warehouse,
-                        self.queue.stores_dir / f"{job.job_id}.jsonl",
-                        source=job.job_id,
-                    )
-                    if count:
-                        added[job.job_id] = count
-        total = sum(added.values())
-        if total:
-            self.metrics.inc("repro_warehouse_ingested_records_total", total)
-        return added
+        records = self.warehouse.records(self.queue.stores_dir / f"{job_id}.jsonl")
+        with self._ingest_lock:
+            added = len(records) - self._ingested.get(job_id, 0)
+            self._ingested[job_id] = len(records)
+        if added > 0:
+            self.metrics.inc("repro_warehouse_ingested_records_total", added)
+        return max(added, 0)
 
     # ------------------------------------------------------------------
     def render_metrics(self) -> str:
@@ -1029,11 +1002,6 @@ class CampaignService:
                 self.metrics.set_gauge(
                     "repro_fleet_worker_active_leases", float(count), worker=name
                 )
-        warehouse_stats = self.warehouse.stats()
-        for gauge in ("records", "superseded", "corrupt_lines", "shards", "bytes"):
-            self.metrics.set_gauge(
-                f"repro_warehouse_{gauge}", float(warehouse_stats[gauge])
-            )
         return self.metrics.render_prometheus()
 
     # ------------------------------------------------------------------
@@ -1089,7 +1057,6 @@ class CampaignService:
             # the fleet hands its live jobs back for recovery.
             self.fleet.stop(timeout)
         self.worker.stop(timeout)
-        self.warehouse.flush()
 
     def __enter__(self) -> "CampaignService":
         return self.start()

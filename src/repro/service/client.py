@@ -270,12 +270,8 @@ class ServiceClient:
         return self._request("GET", path)
 
     def warehouse_stats(self) -> Dict[str, object]:
-        """Warehouse shard/index stats (admin token required under auth)."""
+        """Warehouse record counts per job store (admin token required under auth)."""
         return dict(self._request("GET", "/v1/warehouse/stats")["stats"])
-
-    def warehouse_compact(self) -> Dict[str, object]:
-        """Trigger a compaction now (admin token required under auth)."""
-        return dict(self._request("POST", "/v1/warehouse/compact")["result"])
 
     # ------------------------------------------------------------------
     def stream(

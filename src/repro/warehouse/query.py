@@ -59,19 +59,10 @@ def build_filter(
     status: Optional[str] = None,
     target: Optional[str] = None,
     since: Optional[float] = None,
-    sources: Optional[Sequence[str]] = None,
 ) -> Callable[[Mapping[str, object]], bool]:
-    """Build an envelope predicate for :meth:`Warehouse.iter_records`.
-
-    ``sources`` restricts to envelopes ingested from the given job stores —
-    the ownership-masking hook: the service passes the caller's own job ids
-    here for non-admin tokens.
-    """
-    allowed = set(sources) if sources is not None else None
+    """Build an envelope predicate for :meth:`Warehouse.iter_records`."""
 
     def predicate(env: Mapping[str, object]) -> bool:
-        if allowed is not None and env.get("src", "") not in allowed:
-            return False
         record = env.get("r", {})
         if not isinstance(record, Mapping):
             return False

@@ -148,6 +148,42 @@ class TestResultStore:
         clean.load()
         assert clean.last_corrupt_lines == 0
 
+    def test_append_terminates_a_torn_tail(self, tmp_path):
+        """A crash mid-append leaves a line without its newline; the next
+        append must not merge into it."""
+        path = tmp_path / "r.jsonl"
+        store = ResultStore(path)
+        store.append(_record("c2670", fp="a"))
+        with path.open("a") as handle:
+            handle.write('{"task_id":"b","x"')
+        store.append({"task_id": "c", "status": "ok"})
+        assert [r["task_id"] for r in store.load()] == ["t/c2670", "c"]
+        assert store.last_corrupt_lines == 1
+        assert path.read_bytes().endswith(b"\n")
+
+    def test_partial_trailing_line_waits(self, tmp_path):
+        """A final line without its newline is still being written: it is
+        neither returned nor counted until it is finished."""
+        path = tmp_path / "r.jsonl"
+        path.write_bytes(json.dumps(_record(fp="f1")).encode() + b"\n" + b'{"half": ')
+        store = ResultStore(path)
+        assert len(store.load()) == 1
+        assert store.last_corrupt_lines == 0
+        with path.open("ab") as handle:
+            handle.write(b"1}\n")
+        assert store.load()[-1] == {"half": 1}
+
+    def test_corrupt_lines_counted_not_loaded(self, tmp_path):
+        path = tmp_path / "r.jsonl"
+        with path.open("w") as handle:
+            handle.write(json.dumps(_record(fp="f1")) + "\n")
+            handle.write("{definitely not json\n")
+            handle.write("[1, 2]\n")  # JSON, but not a record
+            handle.write(json.dumps(_record("c3540", fp="f2")) + "\n")
+        store = ResultStore(path)
+        assert [r["fingerprint"] for r in store.load()] == ["f1", "f2"]
+        assert store.last_corrupt_lines == 2
+
 
 class TestAggregation:
     def test_aggregate_averages_per_group(self):
@@ -408,17 +444,22 @@ class TestWarehouseCli:
             store.append(_record(target, fp=f"{path.stem}-{i}"))
         return store
 
-    def test_ingest_query_compact_stats_roundtrip(self, tmp_path, capsys):
+    def test_ingest_query_stats_roundtrip(self, tmp_path, capsys):
         self._seed_store(tmp_path / "job-a.jsonl", "c2670", "c3540")
         self._seed_store(tmp_path / "job-b.jsonl", "c5315")
         wh_dir = str(tmp_path / "wh")
-        code = main(
-            ["warehouse", "ingest", "--warehouse", wh_dir,
-             "--store", str(tmp_path / "job-a.jsonl"),
-             "--store", str(tmp_path / "job-b.jsonl")]
-        )
-        assert code == 0
-        assert "ingested 3 record(s)" in capsys.readouterr().out
+        ingest = [
+            "warehouse", "ingest", "--warehouse", wh_dir,
+            "--store", str(tmp_path / "job-a.jsonl"),
+            "--store", str(tmp_path / "job-b.jsonl"),
+        ]
+        assert main(ingest) == 0
+        out = capsys.readouterr().out
+        assert "job-a: registered" in out
+        assert "warehouse holds 3 record(s) from 2 source(s)" in out
+        assert main(ingest) == 0
+        assert "job-b: already registered" in capsys.readouterr().out
+        assert [p.name for p in (tmp_path / "wh").iterdir()] == ["registry.jsonl"]
 
         code = main(["warehouse", "query", "--warehouse", wh_dir])
         assert code == 0
@@ -426,7 +467,7 @@ class TestWarehouseCli:
             json.loads(line)
             for line in capsys.readouterr().out.splitlines() if line
         ]
-        assert {r["target"] for r in lines} == {"c2670", "c3540", "c5315"}
+        assert [r["target"] for r in lines] == ["c2670", "c3540", "c5315"]
 
         code = main(
             ["warehouse", "query", "--warehouse", wh_dir,
@@ -437,14 +478,30 @@ class TestWarehouseCli:
         assert groups[0]["scheme"] == "antisat"
         assert groups[0]["n_tasks"] == 3
 
-        code = main(["warehouse", "compact", "--warehouse", wh_dir])
-        assert code == 0
-        capsys.readouterr()
         code = main(["warehouse", "stats", "--warehouse", wh_dir])
         assert code == 0
         stats = json.loads(capsys.readouterr().out)
         assert stats["records"] == 3
         assert sorted(stats["sources"]) == ["job-a", "job-b"]
+
+    def test_query_reads_stores_in_place(self, tmp_path, capsys):
+        store = self._seed_store(tmp_path / "job.jsonl", "c2670")
+        wh_dir = str(tmp_path / "wh")
+        assert main(["warehouse", "ingest", "--warehouse", wh_dir,
+                     "--store", str(store.path)]) == 0
+        store.append(_record("c3540", fp="later"))
+        capsys.readouterr()
+        assert main(["warehouse", "query", "--warehouse", wh_dir]) == 0
+        targets = [json.loads(line)["target"] for line in capsys.readouterr().out.splitlines()]
+        assert targets == ["c2670", "c3540"]
+
+    @pytest.mark.parametrize("limit", ["0", "-3"])
+    def test_query_rejects_a_non_positive_limit(self, tmp_path, capsys, limit):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["warehouse", "query", "--warehouse", str(tmp_path / "wh"),
+                  "--limit", limit])
+        assert excinfo.value.code == 2
+        assert "--limit: must be positive" in capsys.readouterr().err
 
     def test_query_report_matches_store_render(self, tmp_path, capsys):
         from repro.runner import render_report

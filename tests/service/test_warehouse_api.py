@@ -1,5 +1,5 @@
-"""Warehouse endpoints over real loopback HTTP: cross-campaign queries,
-ownership masking and compaction byte-identity."""
+"""Warehouse endpoints over real loopback HTTP: cross-campaign queries over
+the job stores read in place, and ownership masking."""
 
 import json
 
@@ -70,17 +70,18 @@ class TestWarehouseQueries:
         assert payload["count"] == 1
         assert payload["truncated"] is True
 
-    def test_compaction_keeps_report_byte_identical(self, service_factory):
-        """A legacy per-job store dropped into ``stores/`` is migrated
-        lazily, and compacting its superseded lines must not change what a
-        query-backed report says."""
+    def test_superseded_lines_read_as_the_store_latest(self, service_factory):
+        """A job store with superseded lines reads as its ``latest()``, and
+        the query-backed report renders byte-identically to the store's."""
         service = service_factory()
-        legacy = ResultStore(service.queue.stores_dir / "legacy-job.jsonl")
+        client = ServiceClient(service.url)
+        job_id = _submit_and_wait(client, "camp-a")
+        store = ResultStore(service.queue.stores_dir / f"{job_id}.jsonl")
         for accuracy in (0.4, 0.6, 0.8):  # same fingerprint: two supersessions
-            legacy.append(
+            store.append(
                 {
                     "task_id": "t/c2670",
-                    "fingerprint": "legacy-f1",
+                    "fingerprint": "hand-f1",
                     "status": "ok",
                     "attack": "gnnunlock",
                     "scheme": "antisat",
@@ -91,18 +92,16 @@ class TestWarehouseQueries:
                     "gnn_accuracy": accuracy,
                 }
             )
-        client = ServiceClient(service.url)
-        before = client.warehouse_query()
-        assert before["count"] == 1
-        assert before["records"][0]["gnn_accuracy"] == 0.8
-        report_before = render_report(before["records"])
-        result = client.warehouse_compact()
-        assert result["compacted"] is True
-        assert result["folded"] == 2
-        after = client.warehouse_query()
-        assert after["records"] == before["records"]
-        assert render_report(after["records"]) == report_before
-        assert client.warehouse_stats()["superseded"] == 0
+        payload = client.warehouse_query()
+        assert payload["count"] == 3
+        assert payload["records"][-1]["gnn_accuracy"] == 0.8
+        expected = list(store.latest().values())
+        assert payload["records"] == expected
+        assert render_report(payload["records"]) == render_report(expected)
+        stats = client.warehouse_stats()
+        assert stats["superseded"] == 2
+        assert stats["sources"][job_id]["lines"] == 5
+        assert not (service.queue.state_dir / "warehouse").exists()
 
 
 class TestWarehouseAuth:
@@ -133,92 +132,125 @@ class TestWarehouseAuth:
             clients["worker"].warehouse_query()
         assert excinfo.value.status == 403
 
-    def test_stats_and_compact_are_admin_only(self, clients):
-        for call in (
-            clients["alice"].warehouse_stats,
-            clients["alice"].warehouse_compact,
-        ):
-            with pytest.raises(ServiceError) as excinfo:
-                call()
-            assert excinfo.value.status == 403
+    def test_stats_are_admin_only(self, clients):
+        with pytest.raises(ServiceError) as excinfo:
+            clients["alice"].warehouse_stats()
+        assert excinfo.value.status == 403
         assert "records" in clients["ops"].warehouse_stats()
 
+    def test_compaction_route_is_gone(self, clients):
+        with pytest.raises(ServiceError) as excinfo:
+            clients["ops"]._request("POST", "/v1/warehouse/compact")
+        assert excinfo.value.status == 404
 
-class TestWarehouseRefresh:
-    """After the first sweep, a refresh tails only stores that can grow:
-    those of unfinished jobs and of finishes the post-finish hook has not
-    ingested yet."""
+
+class TestJobStores:
+    """The service's warehouse is its jobs' stores, read in place: a
+    running job's finished tasks and a re-enqueued job's new records show
+    up in the next query, with nothing to refresh."""
 
     @pytest.fixture
     def service(self, tmp_path):
         from repro.service import CampaignService
 
-        # Never started: the test plays the worker and its post-finish hook.
+        # Never started: the test plays the worker.
         return CampaignService(tmp_path / "state", port=0, cache_dir=tmp_path / "c")
-
-    @pytest.fixture
-    def tailed(self, monkeypatch):
-        import repro.service.api as api
-
-        sources = []
-
-        def spy(warehouse, path, *, source=None):
-            sources.append(source)
-            return original(warehouse, path, source=source)
-
-        original = api.ingest_store
-        monkeypatch.setattr(api, "ingest_store", spy)
-        return sources
 
     @staticmethod
     def _append(job, n):
         ResultStore(job.store_path).append(
-            {"task_id": f"{job.job_id}/{n}", "fingerprint": f"{job.job_id}-{n}"}
+            {"task_id": f"{job.job_id}/{n}", "fingerprint": f"{job.spec.name}-{n}"}
         )
 
-    def test_finished_stores_are_skipped_until_requeued(self, service, tailed):
+    @staticmethod
+    def _fingerprints(service, owner=None):
+        from repro.service.api import JobStores
+
+        stores = JobStores(service.queue, service.warehouse.memo, owner)
+        return [record["fingerprint"] for record in stores.iter_records()]
+
+    def test_running_and_requeued_jobs_are_read_in_place(self, service):
         queue = service.queue
         done, _ = queue.submit(summary_spec("done"))
         queue.claim(timeout=0)
         self._append(done, 0)
         queue.finish(done, "done")
-        service._ingest_finished_job(done)
         live, _ = queue.submit(summary_spec("live"))
         queue.claim(timeout=0)
         self._append(live, 0)
-
-        service.refresh_warehouse()  # the first sweep reads every store
-        assert len(service.warehouse) == 2
-        tailed.clear()
-        self._append(live, 1)
-        assert service.refresh_warehouse() == {live.job_id: 1}
-        assert tailed == [live.job_id]
+        assert self._fingerprints(service) == ["done-0", "live-0"]
+        self._append(live, 1)  # the running job finishes another task
+        assert self._fingerprints(service) == ["done-0", "live-0", "live-1"]
 
         queue.finish(live, "failed", error="boom")
-        tailed.clear()
-        service.refresh_warehouse()  # finished, but the hook has not run
-        assert tailed == [live.job_id]
-        service._ingest_finished_job(live)
-        tailed.clear()
-        service.refresh_warehouse()
-        assert tailed == []
-
         queue.submit(summary_spec("live"))  # a failed job re-runs
         self._append(live, 2)
-        assert service.refresh_warehouse() == {live.job_id: 1}
-        assert tailed == [live.job_id]
+        assert self._fingerprints(service) == ["done-0", "live-0", "live-1", "live-2"]
         assert len(service.warehouse) == 4
 
-    def test_first_sweep_settles_jobs_finished_before_it(self, tmp_path, tailed):
-        from repro.service import CampaignService
+    def test_owner_view_replays_only_owned_jobs(self, service):
+        queue = service.queue
+        mine, _ = queue.submit(summary_spec("mine"), owner="alice")
+        theirs, _ = queue.submit(summary_spec("theirs"), owner="bob")
+        shared, _ = queue.submit(summary_spec("shared"), owner="bob")
+        queue.submit(summary_spec("shared"), owner="alice")
+        for job in (mine, theirs, shared):
+            self._append(job, 0)
+        assert self._fingerprints(service, "alice") == ["mine-0", "shared-0"]
+        assert self._fingerprints(service, "bob") == ["theirs-0", "shared-0"]
+        assert self._fingerprints(service, "carol") == []
 
-        earlier = CampaignService(tmp_path / "state", port=0, cache_dir=tmp_path / "c")
-        job, _ = earlier.queue.submit(summary_spec("old"))
-        earlier.queue.claim(timeout=0)
+    def test_post_finish_hook_counts_new_records_once(self, service):
+        queue = service.queue
+        job, _ = queue.submit(summary_spec("counted"))
+        queue.claim(timeout=0)
         self._append(job, 0)
-        earlier.queue.finish(job, "done")
+        self._append(job, 1)
+        queue.finish(job, "failed", error="boom")
+        assert service.ingest_job_store(job.job_id) == 2
+        assert service.ingest_job_store(job.job_id) == 0
+        queue.submit(summary_spec("counted"))
+        self._append(job, 2)
+        assert service.ingest_job_store(job.job_id) == 1
+        assert service.metrics.value("repro_warehouse_ingested_records_total") == 3
 
-        service = CampaignService(tmp_path / "state", port=0, cache_dir=tmp_path / "c")
-        assert service.refresh_warehouse() == {job.job_id: 1}
-        service.refresh_warehouse()
-        assert tailed == []
+    def test_queries_racing_appends_see_whole_records(self, service):
+        """Queries on several threads, racing a writer, each see a prefix
+        of the appends, and the memo never serves a store that grew."""
+        import sys
+        import threading
+
+        queue = service.queue
+        job, _ = queue.submit(summary_spec("busy"))
+        queue.claim(timeout=0)
+        expected = [f"busy-{n}" for n in range(200)]
+        errors = []
+        written = threading.Event()
+
+        def writer():
+            for n in range(200):
+                self._append(job, n)
+            written.set()
+
+        def reader():
+            try:
+                while not written.is_set():
+                    seen = self._fingerprints(service)
+                    assert seen == expected[: len(seen)]
+            except AssertionError as exc:
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=reader) for _ in range(4)]
+            threads.append(threading.Thread(target=writer))
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert self._fingerprints(service) == expected

@@ -1,22 +1,20 @@
-"""Warehouse behaviour: ingest cursors, latest() parity, streaming reads,
-crash-safe compaction and the warehouse-backed matrix history."""
+"""Warehouse behaviour: a registry of stores read in place, latest() parity,
+streaming reads, the matrix history and the one-time legacy conversion."""
 
 import json
-import threading
+import shutil
+from pathlib import Path
 
 import pytest
 
 from repro.obs import scoped_registry
 from repro.runner import ResultStore, WarehouseMatrixHistory
-from repro.runner.store import aggregate, render_report
-from repro.warehouse import (
-    Warehouse,
-    aggregate_stream,
-    build_filter,
-    ingest_state_dir,
-    ingest_store,
-    parse_since,
-)
+from repro.runner.matrix import trend_deltas
+from repro.runner.store import aggregate
+from repro.warehouse import Warehouse, aggregate_stream, build_filter, parse_since
+from repro.warehouse.store import REGISTRY
+
+LEGACY = Path(__file__).parent / "legacy"
 
 
 def _record(target="c2670", *, fp="f1", scheme="antisat", status="ok", acc=0.9):
@@ -37,150 +35,100 @@ def _record(target="c2670", *, fp="f1", scheme="antisat", status="ok", acc=0.9):
     }
 
 
-def _fill(store, n=6):
-    for i in range(n):
-        store.append(_record(f"c{i}", fp=f"f{i}", acc=0.5 + i / 100))
+def _store(path, *records):
+    store = ResultStore(path)
+    for record in records:
+        store.append(record)
+    return store
 
 
-class TestAppendAndLatest:
-    def test_latest_order_matches_result_store(self, tmp_path):
-        store = ResultStore(tmp_path / "job.jsonl")
-        store.append(_record("c2670", fp="f1", acc=0.1))
-        store.append(_record("c3540", fp="f2"))
-        store.append(_record("c2670", fp="f1", acc=0.9))  # supersedes f1
-        store.append({"note": "keyless-1"})
-        store.append({"note": "keyless-2"})
-        warehouse = Warehouse(tmp_path / "wh")
-        ingest_store(warehouse, store.path, source="job")
-        assert list(warehouse.iter_records()) == list(store.latest().values())
-
-    def test_direct_append_dedupes_by_fingerprint(self, tmp_path):
-        warehouse = Warehouse(tmp_path / "wh")
-        warehouse.append(_record(fp="f1", acc=0.2))
-        warehouse.append(_record(fp="f1", acc=0.8))
-        records = list(warehouse.iter_records())
-        assert len(records) == 1
-        assert records[0]["gnn_accuracy"] == 0.8
-        assert len(warehouse) == 1
-
-    def test_get_is_random_access(self, tmp_path):
-        warehouse = Warehouse(tmp_path / "wh")
-        warehouse.append(_record(fp="f1"), key="f1")
-        assert warehouse.get("f1")["fingerprint"] == "f1"
-        assert warehouse.get("missing") is None
-
-    def test_appends_roll_shards(self, tmp_path):
-        warehouse = Warehouse(tmp_path / "wh", max_shard_bytes=300)
-        for i in range(8):
-            warehouse.append(_record(f"c{i}", fp=f"f{i}"))
-        assert warehouse.stats()["shards"] > 1
-        assert len(warehouse) == 8
-
-    def test_reopen_recovers_index(self, tmp_path):
-        first = Warehouse(tmp_path / "wh")
-        for i in range(4):
-            first.append(_record(f"c{i}", fp=f"f{i}"))
-        first.flush()
-        reopened = Warehouse(tmp_path / "wh")
-        assert list(reopened.iter_records()) == list(first.iter_records())
-
-    def test_reopen_without_snapshot_rescans(self, tmp_path):
-        first = Warehouse(tmp_path / "wh")
-        for i in range(4):
-            first.append(_record(f"c{i}", fp=f"f{i}"))
-        (tmp_path / "wh" / "index.json").unlink(missing_ok=True)
-        reopened = Warehouse(tmp_path / "wh")
-        assert len(reopened) == 4
-
-    def test_concurrent_appends_never_interleave(self, tmp_path):
-        warehouse = Warehouse(tmp_path / "wh")
-
-        def writer(worker):
-            for i in range(20):
-                warehouse.append(_record(f"c{worker}-{i}", fp=f"w{worker}-{i}"))
-
-        threads = [
-            threading.Thread(target=writer, args=(w,)) for w in range(4)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert len(warehouse) == 80
-        assert warehouse.stats()["corrupt_lines"] == 0
+def _warehouse(tmp_path, *records, source="job"):
+    store = _store(tmp_path / f"{source}.jsonl", *records)
+    warehouse = Warehouse(tmp_path / "wh")
+    warehouse.register(store.path)
+    return warehouse
 
 
-class TestIngest:
-    def test_cursor_makes_reingest_incremental(self, tmp_path):
-        store = ResultStore(tmp_path / "job.jsonl")
-        _fill(store, 3)
-        warehouse = Warehouse(tmp_path / "wh")
-        assert ingest_store(warehouse, store.path, source="job") == 3
-        assert ingest_store(warehouse, store.path, source="job") == 0
-        store.append(_record("c9", fp="f9"))
-        assert ingest_store(warehouse, store.path, source="job") == 1
-
-    def test_truncated_source_resets_cursor(self, tmp_path):
-        store = ResultStore(tmp_path / "job.jsonl")
-        _fill(store, 3)
-        warehouse = Warehouse(tmp_path / "wh")
-        ingest_store(warehouse, store.path, source="job")
-        store.clear()
-        store.append(_record("c0", fp="f0", acc=0.77))
-        assert ingest_store(warehouse, store.path, source="job") == 1
-        assert warehouse.get("job:f0")["gnn_accuracy"] == 0.77
-
-    def test_partial_trailing_line_waits(self, tmp_path):
-        path = tmp_path / "job.jsonl"
-        path.write_bytes(
-            json.dumps(_record(fp="f1")).encode() + b"\n" + b'{"half": '
+class TestRegistry:
+    def test_iteration_equals_store_latest(self, tmp_path):
+        store = _store(
+            tmp_path / "job.jsonl",
+            _record("c2670", fp="f1", acc=0.1),
+            _record("c3540", fp="f2"),
+            _record("c2670", fp="f1", acc=0.9),  # supersedes f1
+            {"note": "keyless-1"},
+            {"note": "keyless-2"},
         )
         warehouse = Warehouse(tmp_path / "wh")
-        assert ingest_store(warehouse, path, source="job") == 1
-        with path.open("ab") as handle:
-            handle.write(b"1}\n")
-        assert ingest_store(warehouse, path, source="job") == 1
-        assert len(warehouse) == 2
+        warehouse.register(store.path)
+        assert list(warehouse.iter_records()) == list(store.latest().values())
+        assert len(warehouse) == 4
+        assert warehouse.stats()["superseded"] == 1
 
-    def test_corrupt_lines_counted_not_ingested(self, tmp_path):
-        path = tmp_path / "job.jsonl"
-        with path.open("w") as handle:
-            handle.write(json.dumps(_record(fp="f1")) + "\n")
-            handle.write("{definitely not json\n")
-            handle.write(json.dumps(_record(fp="f2", target="c3540")) + "\n")
+    def test_reregistering_is_a_noop_and_the_registry_survives_reopen(self, tmp_path):
+        _store(tmp_path / "a.jsonl", _record(fp="fa"))
+        _store(tmp_path / "b.jsonl", _record(fp="fb"))
         warehouse = Warehouse(tmp_path / "wh")
-        assert ingest_store(warehouse, path, source="job") == 2
-        assert warehouse.source_cursor("job")["corrupt"] == 1
+        assert warehouse.register(tmp_path / "a.jsonl") is True
+        assert warehouse.register(tmp_path / "b.jsonl") is True
+        assert warehouse.register(tmp_path / "a.jsonl") is False
+        reopened = Warehouse(tmp_path / "wh")
+        assert [source for source, _ in reopened.sources()] == ["a", "b"]
+        assert [r["fingerprint"] for r in reopened.iter_records()] == ["fa", "fb"]
 
-    def test_ingest_state_dir_sweeps_stores(self, tmp_path):
-        stores = tmp_path / "state" / "stores"
-        stores.mkdir(parents=True)
-        ResultStore(stores / "aaaa.jsonl").append(_record(fp="fa"))
-        ResultStore(stores / "bbbb.jsonl").append(_record(fp="fb", scheme="sarlock"))
+    def test_the_registry_is_the_only_file(self, tmp_path):
+        warehouse = _warehouse(tmp_path, _record(fp="f1"))
+        list(warehouse.iter_records())
+        assert [p.name for p in warehouse.root.iterdir()] == [REGISTRY]
+
+    def test_appended_records_show_up_without_reregistering(self, tmp_path):
+        warehouse = _warehouse(tmp_path, _record(fp="f1"))
+        ResultStore(tmp_path / "job.jsonl").append(_record("c3540", fp="f2"))
+        assert [r["fingerprint"] for r in warehouse.iter_records()] == ["f1", "f2"]
+
+    def test_sources_replay_in_registration_order(self, tmp_path):
+        for job in ("zeta", "alpha"):
+            _store(tmp_path / f"{job}.jsonl", _record(fp=job))
         warehouse = Warehouse(tmp_path / "wh")
-        added = ingest_state_dir(warehouse, tmp_path / "state")
-        assert added == {"aaaa": 1, "bbbb": 1}
+        warehouse.register(tmp_path / "zeta.jsonl")
+        warehouse.register(tmp_path / "alpha.jsonl", source="renamed")
+        envelopes = list(warehouse.iter_envelopes())
+        assert [env["src"] for env in envelopes] == ["zeta", "renamed"]
+        assert envelopes[0]["k"] == "zeta:zeta"
 
     def test_same_fingerprint_across_sources_does_not_collide(self, tmp_path):
         """Two campaigns running the same task keep separate records;
         supersession is a within-store notion."""
-        for job in ("job-a", "job-b"):
-            store = ResultStore(tmp_path / f"{job}.jsonl")
-            store.append(_record(fp="f1", acc=0.5))
         warehouse = Warehouse(tmp_path / "wh")
         for job in ("job-a", "job-b"):
-            ingest_store(warehouse, tmp_path / f"{job}.jsonl", source=job)
+            warehouse.register(_store(tmp_path / f"{job}.jsonl", _record(fp="f1")).path)
         assert len(warehouse) == 2
         assert warehouse.stats()["superseded"] == 0
+
+    def test_stores_inside_the_directory_move_with_it(self, tmp_path):
+        warehouse = Warehouse(tmp_path / "wh")
+        own = _store(warehouse.store_path("own"), _record(fp="f1"))
+        warehouse.register(own.path)
+        shutil.move(str(tmp_path / "wh"), str(tmp_path / "moved"))
+        assert len(Warehouse(tmp_path / "moved")) == 1
+
+    def test_missing_and_torn_stores_read_what_is_complete(self, tmp_path):
+        path = tmp_path / "job.jsonl"
+        path.write_bytes(json.dumps(_record(fp="f1")).encode() + b'\n{"half": ')
+        warehouse = Warehouse(tmp_path / "wh")
+        warehouse.register(path)
+        warehouse.register(tmp_path / "gone.jsonl")
+        assert [r["fingerprint"] for r in warehouse.iter_records()] == ["f1"]
 
 
 class TestStreaming:
     def test_iteration_decodes_one_record_at_a_time(self, tmp_path):
         """The streaming contract: pulling one record from the iterator
-        touches one stored envelope, not the whole set."""
-        warehouse = Warehouse(tmp_path / "wh")
-        for i in range(50):
-            warehouse.append(_record(f"c{i}", fp=f"f{i}"))
+        yields one envelope, not the whole set."""
+        warehouse = _warehouse(
+            tmp_path, *(_record(f"c{i}", fp=f"f{i}") for i in range(50))
+        )
+
         def scanned(registry):
             series = registry.snapshot()["counters"].get(
                 "repro_warehouse_records_scanned_total", []
@@ -196,21 +144,21 @@ class TestStreaming:
             iterator.close()
 
     def test_filters(self, tmp_path):
-        warehouse = Warehouse(tmp_path / "wh")
-        warehouse.append(_record(fp="f1", scheme="antisat"), source="jobA")
-        warehouse.append(_record(fp="f2", scheme="sarlock"), source="jobB")
-        warehouse.append(_record(fp="f3", scheme="sarlock", status="failed"))
+        warehouse = _warehouse(
+            tmp_path,
+            _record(fp="f1", scheme="antisat"),
+            _record(fp="f2", scheme="sarlock"),
+            _record(fp="f3", scheme="sarlock", status="failed"),
+        )
         by_scheme = build_filter(scheme="sarlock", status="ok")
         assert [r["fingerprint"] for r in warehouse.iter_records(by_scheme)] == ["f2"]
-        by_source = build_filter(sources=["jobA"])
-        assert [r["fingerprint"] for r in warehouse.iter_records(by_source)] == ["f1"]
 
     def test_since_filter_and_parse(self, tmp_path):
-        warehouse = Warehouse(tmp_path / "wh")
-        old = dict(_record(fp="f1"), recorded_at=100.0)
-        new = dict(_record(fp="f2"), recorded_at=2000.0)
-        warehouse.append(old)
-        warehouse.append(new)
+        warehouse = _warehouse(
+            tmp_path,
+            dict(_record(fp="f1"), recorded_at=100.0),
+            dict(_record(fp="f2"), recorded_at=2000.0),
+        )
         since = build_filter(since=500.0)
         assert [r["fingerprint"] for r in warehouse.iter_records(since)] == ["f2"]
         assert parse_since("1234") == 1234.0
@@ -220,75 +168,13 @@ class TestStreaming:
             parse_since("next tuesday")
 
     def test_aggregate_stream_matches_aggregate(self, tmp_path):
-        warehouse = Warehouse(tmp_path / "wh")
         records = [
             _record("c2670", fp="f1", acc=0.9),
             _record("c3540", fp="f2", acc=0.7),
             _record("c5315", fp="f3", scheme="sarlock"),
         ]
-        for record in records:
-            warehouse.append(record)
+        warehouse = _warehouse(tmp_path, *records)
         assert aggregate_stream(warehouse.iter_records()) == aggregate(records)
-
-
-class TestCompaction:
-    def test_compaction_folds_duplicates_and_preserves_reads(self, tmp_path):
-        warehouse = Warehouse(tmp_path / "wh", max_shard_bytes=500)
-        for round_ in range(4):
-            for i in range(5):
-                warehouse.append(_record(f"c{i}", fp=f"f{i}", acc=round_ / 10))
-        before_records = list(warehouse.iter_records())
-        before_report = render_report(before_records)
-        result = warehouse.compact()
-        assert result["compacted"] is True
-        assert result["folded"] == 15
-        assert list(warehouse.iter_records()) == before_records
-        assert render_report(list(warehouse.iter_records())) == before_report
-        assert warehouse.stats()["superseded"] == 0
-
-    def test_compaction_survives_reopen(self, tmp_path):
-        warehouse = Warehouse(tmp_path / "wh")
-        for acc in (0.1, 0.2, 0.3):
-            warehouse.append(_record(fp="f1", acc=acc))
-        warehouse.compact()
-        reopened = Warehouse(tmp_path / "wh")
-        records = list(reopened.iter_records())
-        assert len(records) == 1
-        assert records[0]["gnn_accuracy"] == 0.3
-
-    def test_no_garbage_no_compaction(self, tmp_path):
-        warehouse = Warehouse(tmp_path / "wh")
-        warehouse.append(_record(fp="f1"))
-        assert warehouse.compact()["compacted"] is False
-
-    @pytest.mark.parametrize("phase", ["pre-manifest", "post-manifest"])
-    def test_crash_mid_compaction_recovers(self, tmp_path, phase):
-        """A compaction killed before or after the manifest flip loses
-        nothing: reopen sweeps the orphans and serves identical records."""
-        warehouse = Warehouse(tmp_path / "wh")
-        for i in range(6):
-            warehouse.append(_record(f"c{i}", fp=f"f{i % 3}", acc=i / 10))
-        expected = list(warehouse.iter_records())
-        expected_report = render_report(expected)
-
-        class _Crash(RuntimeError):
-            pass
-
-        def crash(point):
-            if point == phase:
-                raise _Crash(point)
-
-        warehouse._crash_hook = crash
-        with pytest.raises(_Crash):
-            warehouse.compact()
-        recovered = Warehouse(tmp_path / "wh")
-        assert list(recovered.iter_records()) == expected
-        assert render_report(list(recovered.iter_records())) == expected_report
-        # Pre-manifest crash leaves the garbage for the next compaction;
-        # post-manifest means the fold already landed and there is none.
-        result = recovered.compact()
-        assert result["compacted"] is (phase == "pre-manifest")
-        assert list(recovered.iter_records()) == expected
 
 
 class TestWarehouseMatrixHistory:
@@ -303,21 +189,109 @@ class TestWarehouseMatrixHistory:
         assert len(history) == 2
         sweeps = history.sweeps()
         assert [s["recorded_at"] for s in sweeps] == [1.0, 2.0]
+        assert [s["sweep"] for s in sweeps] == [1, 2]
 
-    def test_head_survives_compaction(self, tmp_path):
+    def test_sweeps_are_a_registered_source(self, tmp_path):
         warehouse = Warehouse(tmp_path / "wh")
         history = WarehouseMatrixHistory(warehouse, name="m")
-        for sweep in range(3):
-            history.append({"cell|a": {"value": sweep / 10}}, recorded_at=float(sweep))
-        warehouse.compact()
-        assert history.latest()["cells"]["cell|a"]["value"] == 0.2
-        assert len(history.sweeps()) == 3
-        assert len(history) == 3
+        history.append({"cell|a": {"value": 0.5}}, recorded_at=1.0)
+        history.append({"cell|a": {"value": 0.7}}, recorded_at=2.0)
+        assert [source for source, _ in warehouse.sources()] == ["matrix:m"]
+        assert [r["sweep"] for r in warehouse.iter_records()] == [1, 2]
 
-    def test_histories_are_namespaced(self, tmp_path):
+    def test_histories_share_a_directory(self, tmp_path):
         warehouse = Warehouse(tmp_path / "wh")
         first = WarehouseMatrixHistory(warehouse, name="alpha")
         second = WarehouseMatrixHistory(warehouse, name="beta")
         first.append({"a|x": {"value": 1.0}}, recorded_at=1.0)
         assert second.latest() is None
         assert len(second.sweeps()) == 0
+        second.append({"b|x": {"value": 0.5}}, recorded_at=2.0)
+        first.append({"a|x": {"value": 0.0}}, recorded_at=3.0)
+        reopened = Warehouse(tmp_path / "wh")
+        alpha = WarehouseMatrixHistory(reopened, name="alpha")
+        beta = WarehouseMatrixHistory(reopened, name="beta")
+        assert (len(alpha), len(beta)) == (2, 1)
+        assert alpha.latest()["cells"] == {"a|x": {"value": 0.0}}
+        assert beta.latest()["cells"] == {"b|x": {"value": 0.5}}
+        assert [s for s, _ in reopened.sources()] == ["matrix:alpha", "matrix:beta"]
+
+
+class TestLegacyConversion:
+    """``legacy/`` holds a warehouse (``wh``: two campaign stores, a re-run
+    task and a keyless line, ingested in two passes) and a matrix history
+    shared by two names (``history``), both written by the shard/manifest
+    layout, plus the outputs that layout gave for them
+    (``expected.json``)."""
+
+    @pytest.fixture
+    def legacy(self, tmp_path, monkeypatch):
+        shutil.copytree(LEGACY, tmp_path / "legacy")
+        monkeypatch.chdir(tmp_path / "legacy")
+        return json.loads(Path("expected.json").read_text())
+
+    @pytest.mark.parametrize(
+        "name, flags",
+        [
+            ("query", []),
+            ("report", ["--report"]),
+            ("aggregate", ["--aggregate"]),
+            ("aggregate_by_scheme", ["--aggregate", "--group-by", "scheme"]),
+        ],
+    )
+    def test_queries_match_the_old_layout(self, legacy, capsys, name, flags):
+        from repro.runner.cli import main
+
+        assert main(["warehouse", "query", "--warehouse", "wh", *flags]) == 0
+        assert capsys.readouterr().out == legacy[name]
+
+    def test_conversion_leaves_registry_and_stores_only(self, legacy):
+        warehouse = Warehouse("wh")
+        files = sorted(str(p.relative_to("wh")) for p in Path("wh").rglob("*"))
+        assert files == [REGISTRY, "stores", "stores/camp-a.jsonl", "stores/camp-b.jsonl"]
+        assert [source for source, _ in warehouse.sources()] == ["camp-a", "camp-b"]
+        assert warehouse.stats()["superseded"] == 0
+
+    def test_matrix_history_converts_without_head_duplicates(self, legacy):
+        warehouse = Warehouse("history")
+        for name in ("alpha", "beta"):
+            history = WarehouseMatrixHistory(warehouse, name=name)
+            expected = legacy["matrix"][name]
+            latest = history.latest()
+            assert len(history) == expected["len"]
+            assert [s["sweep"] for s in history.sweeps()] == expected["sweeps"]
+            assert latest == expected["latest"]
+            deltas = trend_deltas(legacy["matrix_current"], latest["cells"])
+            assert json.loads(json.dumps(deltas)) == expected["deltas"]
+        assert len(warehouse) == 3  # three sweeps; the head copies are gone
+        history = WarehouseMatrixHistory(warehouse, name="alpha")
+        history.append({"a|x": {"value": 1.0}}, recorded_at=9.0)
+        assert [s["sweep"] for s in history.sweeps()] == [1, 2, 3]
+
+    def test_a_crash_before_the_manifest_goes_redoes_the_conversion(
+        self, legacy, monkeypatch
+    ):
+        import repro.warehouse.store as store_module
+
+        original = store_module.atomic_write
+
+        def crash_on_registry(path, write):
+            if path.name == REGISTRY:
+                raise KeyboardInterrupt("crash")
+            original(path, write)
+
+        monkeypatch.setattr(store_module, "atomic_write", crash_on_registry)
+        with pytest.raises(KeyboardInterrupt):
+            Warehouse("wh")
+        assert Path("wh/manifest.json").is_file()
+        monkeypatch.setattr(store_module, "atomic_write", original)
+        records = [json.dumps(r, sort_keys=True) for r in Warehouse("wh").iter_records()]
+        assert "\n".join(records) + "\n" == legacy["query"]
+
+    def test_leftovers_after_the_manifest_are_deleted(self, legacy):
+        Warehouse("wh")
+        Path("wh/shards").mkdir()
+        Path("wh/shards/g0000-000001.jsonl").write_text("{}\n")
+        Path("wh/index.json").write_text("{}")
+        Warehouse("wh")
+        assert sorted(p.name for p in Path("wh").iterdir()) == [REGISTRY, "stores"]
